@@ -52,6 +52,19 @@ let golden_cases =
       Golden.golden_chaos12;
     ]
 
+(* the FS-DP re-drive paths: the fan-out-off schedule, RSBB and
+   record-at-a-time access, the index paths and fallbacks, and the chain
+   failure branch (statement errors, unchanged rows and every Disk
+   Process's request tags, CLOSE^SCB included) *)
+let redrive_golden_cases =
+  List.map2
+    (fun (name, run) expected ->
+      Alcotest.test_case (Printf.sprintf "golden: %s" name) `Quick (fun () ->
+          Alcotest.(check string)
+            (name ^ ": pre-refactor fingerprint reproduced")
+            expected (run ())))
+    Golden.redrive_scenarios Golden.redrive_goldens
+
 (* an explicit depth-1 config must be indistinguishable from the default *)
 let explicit_depth1_cases =
   [
@@ -388,7 +401,7 @@ let invalid_depth_rejected () =
       ignore (Disk.create sim ~name:"$DATA"))
 
 let suite =
-  golden_cases @ explicit_depth1_cases
+  golden_cases @ redrive_golden_cases @ explicit_depth1_cases
   @ [
       Alcotest.test_case "submit costs nothing, complete waits" `Quick
         submit_costs_nothing;
