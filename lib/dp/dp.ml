@@ -820,6 +820,75 @@ let maybe_prefetch t scb block =
      end);
   scb.scb_prev_leaf <- block
 
+(* The loop a GET^FIRST/GET^NEXT and an AGGREGATE^FIRST/AGGREGATE^NEXT
+   execution share: seek to [from_key] and walk up to the SCB's upper
+   bound, pre-fetch on entering each leaf, count and charge every record
+   examined, and stop at the record limit or the processor-time slice,
+   probing whether the subset has [more]. [stop_at_block blk] ends the
+   request (with [more]) before a record in leaf [blk]; [visit key record]
+   does the scan's own per-record work and answers whether its reply is
+   full. One virtual-block range lock then covers the span examined,
+   replacing per-record locks, and [reply last_key more] builds the reply
+   once it is granted. *)
+let scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
+    ~reply =
+  let cfg = Sim.config t.sim in
+  let s = Sim.stats t.sim in
+  let ticks0 = s.Stats.cpu_ticks in
+  let examined = ref 0 in
+  let last_key = ref from_key in
+  let more = ref false in
+  let stop = ref false in
+  let cursor = ref (Btree.seek b from_key) in
+  while not !stop do
+    match Btree.cursor_entry b !cursor with
+    | None -> stop := true
+    | Some (key, record) ->
+        if Keycode.compare_keys key scb.scb_hi >= 0 then stop := true
+        else begin
+          (match Btree.cursor_block !cursor with
+          | Some blk ->
+              if stop_at_block blk then begin
+                stop := true;
+                more := true
+              end
+              else maybe_prefetch t scb blk
+          | None -> ());
+          if not !stop then begin
+            incr examined;
+            s.Stats.records_read <- s.Stats.records_read + 1;
+            Sim.tick t.sim 15;
+            let full = visit key record in
+            last_key := key;
+            cursor := Btree.advance b !cursor;
+            (* re-drive triggers: full reply, record limit, or the
+               processor-time slice *)
+            if
+              full
+              || !examined >= cfg.Config.dp_records_per_request
+              || s.Stats.cpu_ticks - ticks0 >= cfg.Config.dp_ticks_per_request
+            then begin
+              stop := true;
+              more := Btree.cursor_entry b !cursor <> None
+            end
+          end
+        end
+  done;
+  let lock_outcome =
+    match lock_of_mode lock with
+    | None -> Ok ()
+    | Some mode ->
+        if Keycode.compare_keys from_key !last_key <= 0 && !examined > 0 then
+          try_lock t ~tx ~file:f.f_id
+            (Lock.Range (from_key, Keycode.successor !last_key))
+            mode
+        else Ok ()
+  in
+  match lock_outcome with
+  | Error blockers ->
+      Rp_blocked { blockers; processed = 0; last_key = from_key; scb = scb_id }
+  | Ok () -> reply !last_key !more
+
 (* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. *)
 let run_read_scan t ~tx f scb scb_id ~from_key =
   let cfg = Sim.config t.sim in
@@ -828,238 +897,135 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
   match scb.scb_body with
   | Scb_update _ | Scb_delete _ | Scb_agg _ ->
       Errors.fail (Errors.Bad_request "SCB is not a read subset")
-  | Scb_read { buffering; pred; proj; lock } -> (
+  | Scb_read { buffering; pred; proj; lock } ->
       let schema = f.f_schema in
-      let start_key = from_key in
-      let ticks0 = s.Stats.cpu_ticks in
-      let examined = ref 0 in
       let reply_bytes = ref 0 in
       let out = ref [] in
       let out_count = ref 0 in
-      let last_key = ref from_key in
-      let more = ref false in
       let first_block = ref (-1) in
-      let stop = ref false in
-      let cursor = ref (Btree.seek b from_key) in
-      while not !stop do
-        match Btree.cursor_entry b !cursor with
-        | None -> stop := true
-        | Some (key, record) ->
-            if Keycode.compare_keys key scb.scb_hi >= 0 then stop := true
-            else begin
-              (match Btree.cursor_block !cursor with
-              | Some blk ->
-                  if !first_block < 0 then first_block := blk;
-                  (* RSBB ships exactly one physical block per message *)
-                  if buffering = B_rsbb && !first_block >= 0 && blk <> !first_block
-                  then begin
-                    stop := true;
-                    more := true
-                  end
-                  else maybe_prefetch t scb blk
-              | None -> ());
-              if not !stop then begin
-                incr examined;
-                s.Stats.records_read <- s.Stats.records_read + 1;
-                Sim.tick t.sim 15;
-                let selected, row =
-                  match (pred, schema) with
-                  | None, _ -> (true, None)
-                  | Some p, Some sch ->
-                      let row = Row.decode_exn sch record in
-                      Sim.tick t.sim (2 * Expr.size p);
-                      (Expr.eval_pred row p, Some row)
-                  | Some _, None -> (true, None)
-                in
-                if selected then begin
-                  (match (buffering, proj, schema) with
-                  | B_vsbb, Some fields, Some sch ->
-                      let row =
-                        match row with
-                        | Some r -> r
-                        | None -> Row.decode_exn sch record
-                      in
-                      let projected = Row.project row fields in
-                      let w = Nsql_util.Codec.writer () in
-                      Row.encode_values w projected;
-                      reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
-                      out := `Row projected :: !out
-                  | B_vsbb, None, Some sch ->
-                      let row =
-                        match row with
-                        | Some r -> r
-                        | None -> Row.decode_exn sch record
-                      in
-                      let w = Nsql_util.Codec.writer () in
-                      Row.encode_values w row;
-                      reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
-                      out := `Row row :: !out
-                  | B_vsbb, _, None | B_rsbb, _, _ ->
-                      reply_bytes :=
-                        !reply_bytes + String.length key + String.length record;
-                      out := `Entry (key, record) :: !out);
-                  incr out_count;
-                  s.Stats.records_returned <- s.Stats.records_returned + 1;
-                  Sim.tick t.sim 10
-                end;
-                last_key := key;
-                cursor := Btree.advance b !cursor;
-                (* re-drive triggers: full buffer, record limit, or the
-                   processor-time slice *)
-                if
-                  !reply_bytes >= cfg.Config.vsbb_buffer_bytes
-                  || !examined >= cfg.Config.dp_records_per_request
-                  || s.Stats.cpu_ticks - ticks0 >= cfg.Config.dp_ticks_per_request
-                then begin
-                  stop := true;
-                  more := Btree.cursor_entry b !cursor <> None
-                end
-              end
-            end
-      done;
-      (* virtual-block group locking: one lock covers the whole span this
-         request processed, replacing per-record locks *)
-      let lock_outcome =
-        match lock_of_mode lock with
-        | None -> Ok ()
-        | Some mode ->
-            if Keycode.compare_keys start_key !last_key <= 0 && !examined > 0
-            then
-              try_lock t ~tx ~file:f.f_id
-                (Lock.Range (start_key, Keycode.successor !last_key))
-                mode
-            else Ok ()
+      (* RSBB ships exactly one physical block per message *)
+      let stop_at_block blk =
+        if !first_block < 0 then first_block := blk;
+        buffering = B_rsbb && blk <> !first_block
       in
-      match lock_outcome with
-      | Error blockers ->
-          Ok
-            (Rp_blocked
-               { blockers; processed = 0; last_key = from_key; scb = scb_id })
-      | Ok () ->
-          let items = List.rev !out in
-          if !out_count = 0 && not !more then Ok Rp_end
-          else
-            let rows =
-              List.filter_map (function `Row r -> Some r | `Entry _ -> None) items
-            in
-            let entries =
-              List.filter_map
-                (function `Entry e -> Some e | `Row _ -> None)
-                items
-            in
-            if buffering = B_vsbb && f.f_schema <> None then
-              Ok
-                (Rp_vblock
-                   { rows; last_key = !last_key; more = !more; scb = scb_id })
-            else
-              Ok
-                (Rp_block
-                   { entries; last_key = !last_key; more = !more; scb = scb_id }))
+      let visit key record =
+        let selected, row =
+          match (pred, schema) with
+          | None, _ -> (true, None)
+          | Some p, Some sch ->
+              let row = Row.decode_exn sch record in
+              Sim.tick t.sim (2 * Expr.size p);
+              (Expr.eval_pred row p, Some row)
+          | Some _, None -> (true, None)
+        in
+        if selected then begin
+          (match (buffering, proj, schema) with
+          | B_vsbb, Some fields, Some sch ->
+              let row =
+                match row with Some r -> r | None -> Row.decode_exn sch record
+              in
+              let projected = Row.project row fields in
+              let w = Nsql_util.Codec.writer () in
+              Row.encode_values w projected;
+              reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
+              out := `Row projected :: !out
+          | B_vsbb, None, Some sch ->
+              let row =
+                match row with Some r -> r | None -> Row.decode_exn sch record
+              in
+              let w = Nsql_util.Codec.writer () in
+              Row.encode_values w row;
+              reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
+              out := `Row row :: !out
+          | B_vsbb, _, None | B_rsbb, _, _ ->
+              reply_bytes := !reply_bytes + String.length key + String.length record;
+              out := `Entry (key, record) :: !out);
+          incr out_count;
+          s.Stats.records_returned <- s.Stats.records_returned + 1;
+          Sim.tick t.sim 10
+        end;
+        !reply_bytes >= cfg.Config.vsbb_buffer_bytes
+      in
+      Ok
+        (scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
+           ~reply:(fun last_key more ->
+             let items = List.rev !out in
+             if !out_count = 0 && not more then Rp_end
+             else
+               let rows =
+                 List.filter_map (function `Row r -> Some r | `Entry _ -> None) items
+               in
+               let entries =
+                 List.filter_map
+                   (function `Entry e -> Some e | `Row _ -> None)
+                   items
+               in
+               if buffering = B_vsbb && f.f_schema <> None then
+                 Rp_vblock { rows; last_key; more; scb = scb_id }
+               else Rp_block { entries; last_key; more; scb = scb_id }))
 
 (* One AGGREGATE^FIRST/AGGREGATE^NEXT execution: fold qualifying records
-   into the SCB's per-group accumulators under the same re-drive budget as
-   a read scan. Intermediate replies carry no group data (the partials
-   stay in the SCB); the final reply ships every group's accumulator state
-   in first-seen order — which is key order, because the scan is. *)
+   into the SCB's per-group accumulators under the same re-drive budget
+   and range lock as a read scan. Intermediate replies carry no group data
+   (the partials stay in the SCB); the final reply ships every group's
+   accumulator state in first-seen order — which is key order, because
+   the scan is. *)
 let run_agg_scan t ~tx f scb scb_id ~from_key =
-  let cfg = Sim.config t.sim in
-  let s = Sim.stats t.sim in
   let* b = btree_of f in
   match scb.scb_body with
   | Scb_read _ | Scb_update _ | Scb_delete _ ->
       Errors.fail (Errors.Bad_request "SCB is not an aggregate subset")
-  | Scb_agg ({ pred; group_keys; aggs; lock; ag_groups; _ } as ag) -> (
+  | Scb_agg ({ pred; group_keys; aggs; lock; ag_groups; _ } as ag) ->
       let* schema =
         match f.f_schema with
         | Some sch -> Ok sch
         | None ->
             Errors.fail (Errors.Bad_request "AGGREGATE requires a SQL file")
       in
-      let start_key = from_key in
-      let ticks0 = s.Stats.cpu_ticks in
-      let examined = ref 0 in
-      let last_key = ref from_key in
-      let more = ref false in
-      let stop = ref false in
-      let cursor = ref (Btree.seek b from_key) in
-      while not !stop do
-        match Btree.cursor_entry b !cursor with
-        | None -> stop := true
-        | Some (key, record) ->
-            if Keycode.compare_keys key scb.scb_hi >= 0 then stop := true
-            else begin
-              (match Btree.cursor_block !cursor with
-              | Some blk -> maybe_prefetch t scb blk
-              | None -> ());
-              incr examined;
-              s.Stats.records_read <- s.Stats.records_read + 1;
-              Sim.tick t.sim 15;
-              let row = Row.decode_exn schema record in
-              let selected =
-                match pred with
-                | None -> true
-                | Some p ->
-                    Sim.tick t.sim (2 * Expr.size p);
-                    Expr.eval_pred row p
-              in
-              if selected then begin
-                let key_vals = Array.map (fun i -> row.(i)) group_keys in
-                let w = Nsql_util.Codec.writer () in
-                Row.encode_values w key_vals;
-                let gk = Nsql_util.Codec.contents w in
-                let accs =
-                  match Hashtbl.find_opt ag_groups gk with
-                  | Some (_, accs) -> accs
-                  | None ->
-                      let accs = List.map (fun _ -> fresh_acc ()) aggs in
-                      Hashtbl.replace ag_groups gk (key_vals, accs);
-                      ag.ag_order <- gk :: ag.ag_order;
-                      accs
-                in
-                List.iter2 (fun acc spec -> feed_spec acc spec row) accs aggs;
-                Sim.tick t.sim 5
-              end;
-              last_key := key;
-              cursor := Btree.advance b !cursor;
-              if
-                !examined >= cfg.Config.dp_records_per_request
-                || s.Stats.cpu_ticks - ticks0 >= cfg.Config.dp_ticks_per_request
-              then begin
-                stop := true;
-                more := Btree.cursor_entry b !cursor <> None
-              end
-            end
-      done;
-      (* virtual-block group locking, exactly as a read scan: one range
-         lock covers the span this request examined *)
-      let lock_outcome =
-        match lock_of_mode lock with
-        | None -> Ok ()
-        | Some mode ->
-            if Keycode.compare_keys start_key !last_key <= 0 && !examined > 0
-            then
-              try_lock t ~tx ~file:f.f_id
-                (Lock.Range (start_key, Keycode.successor !last_key))
-                mode
-            else Ok ()
-      in
-      match lock_outcome with
-      | Error blockers ->
-          Ok
-            (Rp_blocked
-               { blockers; processed = 0; last_key = from_key; scb = scb_id })
-      | Ok () ->
-          let groups =
-            if !more then []
-            else
-              List.rev_map
-                (fun gk ->
-                  match Hashtbl.find_opt ag_groups gk with
-                  | Some g -> g
-                  | None -> Errors.fatal "Dp.run_agg_scan: group order desync")
-                ag.ag_order
+      let visit _key record =
+        let row = Row.decode_exn schema record in
+        let selected =
+          match pred with
+          | None -> true
+          | Some p ->
+              Sim.tick t.sim (2 * Expr.size p);
+              Expr.eval_pred row p
+        in
+        if selected then begin
+          let key_vals = Array.map (fun i -> row.(i)) group_keys in
+          let w = Nsql_util.Codec.writer () in
+          Row.encode_values w key_vals;
+          let gk = Nsql_util.Codec.contents w in
+          let accs =
+            match Hashtbl.find_opt ag_groups gk with
+            | Some (_, accs) -> accs
+            | None ->
+                let accs = List.map (fun _ -> fresh_acc ()) aggs in
+                Hashtbl.replace ag_groups gk (key_vals, accs);
+                ag.ag_order <- gk :: ag.ag_order;
+                accs
           in
-          Ok (Rp_agg { groups; last_key = !last_key; more = !more; scb = scb_id }))
+          List.iter2 (fun acc spec -> feed_spec acc spec row) accs aggs;
+          Sim.tick t.sim 5
+        end;
+        false
+      in
+      Ok
+        (scan_subset t ~tx f b scb scb_id ~from_key ~lock
+           ~stop_at_block:(fun _ -> false)
+           ~visit
+           ~reply:(fun last_key more ->
+             let groups =
+               if more then []
+               else
+                 List.rev_map
+                   (fun gk ->
+                     match Hashtbl.find_opt ag_groups gk with
+                     | Some g -> g
+                     | None -> Errors.fatal "Dp.run_agg_scan: group order desync")
+                   ag.ag_order
+             in
+             Rp_agg { groups; last_key; more; scb = scb_id }))
 
 (* One UPDATE^SUBSET / DELETE^SUBSET execution.
 

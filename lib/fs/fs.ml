@@ -401,7 +401,6 @@ let delete_index_entries t f ~tx old_row =
   Errors.list_iter
     (fun ix ->
       let key = index_key ix old_row in
-      ignore f;
       expect_ok (send t ix.ix_dp (Dp_msg.R_delete { file = ix.ix_file; tx; key })))
     f.indexes
 
@@ -475,23 +474,18 @@ let read_row_via_index t f ~tx ~index ~index_key:ikey_values =
               String.length key >= String.length prefix
               && String.equal (String.sub key 0 (String.length prefix)) prefix
             in
-            ignore record;
             Some
               (if not within then Ok None
                else begin
                  let irow = Row.decode_exn ix.ix_schema record in
                  let* base_key = base_key_of_index_row f ix irow in
                  (* message 2: read the base record on its partition *)
+                 let p = route f base_key in
                  let* _k, base_record =
                    expect_record
-                     (send t (route f base_key).p_dp
+                     (send t p.p_dp
                         (Dp_msg.R_read
-                           {
-                             file = (route f base_key).p_file;
-                             tx;
-                             key = base_key;
-                             lock = Dp_msg.L_none;
-                           }))
+                           { file = p.p_file; tx; key = base_key; lock = Dp_msg.L_none }))
                  in
                  Ok (Some (Row.decode_exn schema base_record))
                end)
@@ -1191,134 +1185,138 @@ let assignments_touch_index f assignments =
         assignments)
     f.indexes
 
-(* the delegated path: UPDATE^SUBSET / DELETE^SUBSET with re-drives.
-   Under fan-out every partition keeps one re-drive outstanding; the
-   completion loop folds replies in earliest-completion order. *)
-let drive_subset0 t f ~tx ~range ~first ~next =
-  ignore tx;
-  let pieces = partition_ranges f range in
-  if fanout t && List.length pieces > 1 then begin
-    let parts = Array.of_list pieces in
-    let pending =
-      Array.map (fun (p, prange) -> Some (send_nowait t p.p_dp (first p prange))) parts
-    in
-    let total = ref 0 in
-    let err = ref None in
-    let rec loop () =
-      let idxs = ref [] in
-      Array.iteri (fun i c -> if c <> None then idxs := i :: !idxs) pending;
-      match List.rev !idxs with
-      | [] -> ()
-      | idxs ->
-          let cs = List.map (fun i -> Option.get pending.(i)) idxs in
-          let which, payload = Msg.await_any t.msys cs in
-          let i = List.nth idxs which in
-          pending.(i) <- None;
-          let p, _ = parts.(i) in
-          (match
-             classify ~ctx:"SUBSET request" (decode_or_internal payload)
-               (function
-                 | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
-                     total := !total + processed;
-                     if more then
-                       if !err = None then
-                         pending.(i) <-
-                           Some (send_nowait t p.p_dp (next p scb last_key))
-                       else
-                         (* a sibling partition failed: abandon this subset *)
-                         ignore (send t p.p_dp (Dp_msg.R_close_scb { scb }));
-                     Some (Ok ())
-                 | _ -> None)
-           with
-          | Ok () -> ()
-          | Error e -> if !err = None then err := Some e);
-          loop ()
-    in
-    loop ();
-    match !err with Some e -> Error e | None -> Ok !total
-  end
-  else
-    let rec per_partition total = function
-      | [] -> Ok total
-      | (p, prange) :: rest ->
-          let rec drive total scb after_key =
-            let reply =
-              match scb with
-              | None -> send t p.p_dp (first p prange)
-              | Some scb -> send t p.p_dp (next p scb after_key)
-            in
-            classify ~ctx:"SUBSET request" reply (function
-              | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
-                  Some
-                    (if more then drive (total + processed) (Some scb) last_key
-                     else
-                       (* subset exhausted: the Disk Process dropped the SCB *)
-                       Ok (total + processed))
-              | _ -> None)
-          in
-          let* total = drive total None "" in
-          per_partition total rest
-    in
-    per_partition 0 pieces
+(* The continuation re-drive, written once: one FIRST/NEXT chain per
+   partition piece of a range. [fold i reply] absorbs a reply on chain [i]
+   and answers [Ok (Some (scb, last_key))] to re-drive the chain after
+   [last_key], [Ok None] once the subset is exhausted (the Disk Process
+   dropped the SCB), or the error. There are two schedules.
 
-let drive_subset t f ~tx ~range ~first ~next =
-  if not (Trace.enabled t.sim) then drive_subset0 t f ~tx ~range ~first ~next
+   Nowait: every chain keeps one request outstanding and replies fold in
+   earliest-completion order; once a chain has failed, a sibling that
+   still has [more] is closed with CLOSE^SCB instead of re-driven. *)
+let chains_nowait t parts ~first ~next fold =
+  let pending =
+    Array.map (fun (p, prange) -> Some (send_nowait t p.p_dp (first p prange))) parts
+  in
+  let err = ref None in
+  let rec loop () =
+    let idxs = ref [] in
+    Array.iteri (fun i c -> if c <> None then idxs := i :: !idxs) pending;
+    match List.rev !idxs with
+    | [] -> ()
+    | idxs ->
+        let cs = List.map (fun i -> Option.get pending.(i)) idxs in
+        let which, payload = Msg.await_any t.msys cs in
+        let i = List.nth idxs which in
+        pending.(i) <- None;
+        let p, _ = parts.(i) in
+        (match fold i (decode_or_internal payload) with
+        | Ok None -> ()
+        | Ok (Some (scb, last_key)) ->
+            if !err = None then
+              pending.(i) <- Some (send_nowait t p.p_dp (next p scb last_key))
+            else
+              (* a sibling partition failed: abandon this chain *)
+              ignore (send t p.p_dp (Dp_msg.R_close_scb { scb }))
+        | Error e -> if !err = None then err := Some e);
+        loop ()
+  in
+  loop ();
+  match !err with Some e -> Error e | None -> Ok ()
+
+(* Blocking: one partition after another, stopping at the first error. *)
+let chains_blocking t parts ~first ~next fold =
+  let rec chain i =
+    if i >= Array.length parts then Ok ()
+    else
+      let p, prange = parts.(i) in
+      let rec drive req =
+        let* redrive = fold i (send t p.p_dp req) in
+        match redrive with
+        | Some (scb, last_key) -> drive (next p scb last_key)
+        | None -> chain (i + 1)
+      in
+      drive (first p prange)
+  in
+  chain 0
+
+(* the chains of [range] over [f]'s partitions, overlapped when fan-out is
+   on and there is more than one, in one [fs] span named [name] *)
+let drive_chains t f ~name ?(attrs = []) ~range ~first ~next fold =
+  let parts = Array.of_list (partition_ranges f range) in
+  let par = fanout t && Array.length parts > 1 in
+  let run = if par then chains_nowait else chains_blocking in
+  if not (Trace.enabled t.sim) then run t parts ~first ~next fold
   else begin
-    let pieces = partition_ranges f range in
-    let par = fanout t && List.length pieces > 1 in
     let sp =
       Trace.begin_span t.sim ~cat:"fs"
         ~attrs:
-          [
-            ("file", Trace.Str f.fname);
-            ("partitions", Trace.Int (List.length pieces));
-            ("parallel", Trace.Bool par);
-          ]
-        ("subset " ^ f.fname)
+          ([
+             ("file", Trace.Str f.fname);
+             ("partitions", Trace.Int (Array.length parts));
+             ("parallel", Trace.Bool par);
+           ]
+          @ attrs)
+        (name ^ " " ^ f.fname)
     in
     Fun.protect
       ~finally:(fun () -> Trace.finish t.sim sp)
-      (fun () -> drive_subset0 t f ~tx ~range ~first ~next)
+      (fun () -> run t parts ~first ~next fold)
   end
 
+(* the delegated path: UPDATE^SUBSET / DELETE^SUBSET chains, summing the
+   records each reply reports processed *)
+let drive_subset t f ~range ~first ~next =
+  let total = ref 0 in
+  let* () =
+    drive_chains t f ~name:"subset" ~range ~first ~next (fun _ reply ->
+        classify ~ctx:"SUBSET request" reply (function
+          | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
+              total := !total + processed;
+              Some (Ok (if more then Some (scb, last_key) else None))
+          | _ -> None))
+  in
+  Ok !total
+
+(* the requester-side path when index maintenance rules the delegated one
+   out: qualify with a VSBB scan projecting the key columns, then [apply]
+   one via-key read-modify-write per qualifying key. The keys arrive a
+   whole reply buffer at a time; the pop tick is deferred ([~tick:false])
+   and re-applied before each [apply] so the message timeline matches the
+   row-at-a-time driver exactly. *)
+let via_keys t f schema ~tx ~range ?pred apply =
+  let sc =
+    open_scan t f ~tx ~access:A_vsbb ~range ?pred ~proj:schema.Row.key_cols
+      ~lock:Dp_msg.L_exclusive ()
+  in
+  let rec go count =
+    let* batch = scan_next_batch ~tick:false t sc in
+    match batch with
+    | None -> Ok count
+    | Some batch ->
+        let n = Array.length batch in
+        let rec each i =
+          if i >= n then go (count + n)
+          else begin
+            Sim.tick t.sim 3;
+            let* key = Row.key_of_values schema (Array.to_list batch.(i)) in
+            let* () = apply key in
+            each (i + 1)
+          end
+        in
+        each 0
+  in
+  (* close on every exit — errors and raises out of the driver (a
+     malformed record decode) must not leave the scan (or its span) open *)
+  Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)
+
 let update_subset t f ~tx ~range ?pred assignments =
-  let* _schema = require_schema f in
-  if assignments_touch_index f assignments then begin
-    (* not delegable: qualify with a VSBB scan projecting the key columns,
-       then per-record read-modify-write with index maintenance *)
-    let* schema = require_schema f in
-    let key_cols = schema.Row.key_cols in
-    let sc =
-      open_scan t f ~tx ~access:A_vsbb ~range ?pred ~proj:key_cols
-        ~lock:Dp_msg.L_exclusive ()
-    in
-    (* consume the qualifying keys a whole reply buffer at a time; the pop
-       tick is deferred ([~tick:false]) and re-applied before each per-row
-       read-modify-write so the message timeline matches the row-at-a-time
-       driver exactly *)
-    let rec go count =
-      let* batch = scan_next_batch ~tick:false t sc in
-      match batch with
-      | None -> Ok count
-      | Some batch ->
-          let n = Array.length batch in
-          let rec apply i =
-            if i >= n then go (count + n)
-            else begin
-              Sim.tick t.sim 3;
-              let* key = Row.key_of_values schema (Array.to_list batch.(i)) in
-              let* () = update_row_via_key t f ~tx ~key assignments in
-              apply (i + 1)
-            end
-          in
-          apply 0
-    in
-    (* close on every exit — errors and raises out of the driver (a
-       malformed record decode) must not leave the scan (or its span) open *)
-    Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)
-  end
+  let* schema = require_schema f in
+  if assignments_touch_index f assignments then
+    via_keys t f schema ~tx ~range ?pred (fun key ->
+        update_row_via_key t f ~tx ~key assignments)
   else
-    drive_subset t f ~tx ~range
+    drive_subset t f ~range
       ~first:(fun p prange ->
         Dp_msg.R_update_subset_first
           { file = p.p_file; tx; range = prange; pred; assignments })
@@ -1326,55 +1324,18 @@ let update_subset t f ~tx ~range ?pred assignments =
         Dp_msg.R_update_subset_next { file = p.p_file; tx; scb; after_key })
 
 let delete_subset t f ~tx ~range ?pred () =
-  let* _schema = require_schema f in
-  if f.indexes <> [] then begin
-    let* schema = require_schema f in
-    let key_cols = schema.Row.key_cols in
-    let sc =
-      open_scan t f ~tx ~access:A_vsbb ~range ?pred ~proj:key_cols
-        ~lock:Dp_msg.L_exclusive ()
-    in
-    let rec go count =
-      let* batch = scan_next_batch ~tick:false t sc in
-      match batch with
-      | None -> Ok count
-      | Some batch ->
-          let n = Array.length batch in
-          let rec apply i =
-            if i >= n then go (count + n)
-            else begin
-              Sim.tick t.sim 3;
-              let* key = Row.key_of_values schema (Array.to_list batch.(i)) in
-              let* () = delete_row_via_key t f ~tx ~key in
-              apply (i + 1)
-            end
-          in
-          apply 0
-    in
-    Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)
-  end
+  let* schema = require_schema f in
+  if f.indexes <> [] then
+    via_keys t f schema ~tx ~range ?pred (fun key ->
+        delete_row_via_key t f ~tx ~key)
   else
-    drive_subset t f ~tx ~range
+    drive_subset t f ~range
       ~first:(fun p prange ->
         Dp_msg.R_delete_subset_first { file = p.p_file; tx; range = prange; pred })
       ~next:(fun p scb after_key ->
         Dp_msg.R_delete_subset_next { file = p.p_file; tx; scb; after_key })
 
 (* --- aggregate pushdown ------------------------------------------------------ *)
-
-(* drive one partition's AGGREGATE^FIRST / AGGREGATE^NEXT chain to its
-   final reply; intermediate replies carry no groups (the partials stay in
-   the Disk Process SCB) *)
-let agg_fold_reply reply ~redrive ~finish ~fail =
-  match
-    classify ~ctx:"AGGREGATE request" reply (function
-      | Dp_msg.Rp_agg { groups; last_key; more; scb } ->
-          Some (Ok (if more then `Redrive (scb, last_key) else `Done groups))
-      | _ -> None)
-  with
-  | Ok (`Redrive (scb, last_key)) -> redrive scb last_key
-  | Ok (`Done groups) -> finish groups
-  | Error e -> fail e
 
 (* merge per-partition group lists in partition (= key) order; a group
    whose rows straddle a partition boundary merges accumulator-wise *)
@@ -1405,93 +1366,29 @@ let merge_partition_groups per_part =
       | None -> Errors.fatal "Fs.aggregate: group order desync")
     !order
 
-let aggregate0 t f ~tx ~range ?pred ~group_keys ~aggs ~lock () =
-  let* _schema = require_schema f in
-  let first p prange =
-    Dp_msg.R_agg_first
-      { file = p.p_file; tx; range = prange; pred; group_keys; aggs; lock }
-  in
-  let next p scb after_key =
-    Dp_msg.R_agg_next { file = p.p_file; tx; scb; after_key }
-  in
-  let pieces = partition_ranges f range in
-  let parts = Array.of_list pieces in
-  let per_part = Array.make (Array.length parts) [] in
-  if fanout t && Array.length parts > 1 then begin
-    let pending =
-      Array.map (fun (p, prange) -> Some (send_nowait t p.p_dp (first p prange))) parts
-    in
-    let err = ref None in
-    let rec loop () =
-      let idxs = ref [] in
-      Array.iteri (fun i c -> if c <> None then idxs := i :: !idxs) pending;
-      match List.rev !idxs with
-      | [] -> ()
-      | idxs ->
-          let cs = List.map (fun i -> Option.get pending.(i)) idxs in
-          let which, payload = Msg.await_any t.msys cs in
-          let i = List.nth idxs which in
-          pending.(i) <- None;
-          let p, _ = parts.(i) in
-          agg_fold_reply (decode_or_internal payload)
-            ~redrive:(fun scb last_key ->
-              if !err = None then
-                pending.(i) <- Some (send_nowait t p.p_dp (next p scb last_key))
-              else ignore (send t p.p_dp (Dp_msg.R_close_scb { scb })))
-            ~finish:(fun groups -> per_part.(i) <- groups)
-            ~fail:(fun e -> if !err = None then err := Some e);
-          loop ()
-    in
-    loop ();
-    match !err with
-    | Some e -> Error e
-    | None -> Ok (merge_partition_groups per_part)
-  end
-  else begin
-    let rec per_partition i =
-      if i >= Array.length parts then Ok (merge_partition_groups per_part)
-      else
-        let p, prange = parts.(i) in
-        let rec drive scb after_key =
-          let reply =
-            match scb with
-            | None -> send t p.p_dp (first p prange)
-            | Some scb -> send t p.p_dp (next p scb after_key)
-          in
-          agg_fold_reply reply
-            ~redrive:(fun scb last_key -> drive (Some scb) last_key)
-            ~finish:(fun groups ->
-              per_part.(i) <- groups;
-              Ok ())
-            ~fail:(fun e -> Error e)
-        in
-        let* () = drive None "" in
-        per_partition (i + 1)
-    in
-    per_partition 0
-  end
-
+(* one AGGREGATE^FIRST / AGGREGATE^NEXT chain per partition; intermediate
+   replies carry no groups (the partials stay in the Disk Process SCB), the
+   final one ships the partition's groups *)
 let aggregate t f ~tx ~range ?pred ~group_keys ~aggs ~lock () =
-  if not (Trace.enabled t.sim) then
-    aggregate0 t f ~tx ~range ?pred ~group_keys ~aggs ~lock ()
-  else begin
-    let pieces = partition_ranges f range in
-    let par = fanout t && List.length pieces > 1 in
-    let sp =
-      Trace.begin_span t.sim ~cat:"fs"
-        ~attrs:
-          [
-            ("file", Trace.Str f.fname);
-            ("partitions", Trace.Int (List.length pieces));
-            ("parallel", Trace.Bool par);
-            ("groups", Trace.Int (Array.length group_keys));
-          ]
-        ("aggregate " ^ f.fname)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish t.sim sp)
-      (fun () -> aggregate0 t f ~tx ~range ?pred ~group_keys ~aggs ~lock ())
-  end
+  let* _schema = require_schema f in
+  let per_part = Array.make (partition_count f) [] in
+  let* () =
+    drive_chains t f ~name:"aggregate"
+      ~attrs:[ ("groups", Trace.Int (Array.length group_keys)) ]
+      ~range
+      ~first:(fun p prange ->
+        Dp_msg.R_agg_first
+          { file = p.p_file; tx; range = prange; pred; group_keys; aggs; lock })
+      ~next:(fun p scb after_key ->
+        Dp_msg.R_agg_next { file = p.p_file; tx; scb; after_key })
+      (fun i reply ->
+        classify ~ctx:"AGGREGATE request" reply (function
+          | Dp_msg.Rp_agg { groups; last_key; more; scb } ->
+              if not more then per_part.(i) <- groups;
+              Some (Ok (if more then Some (scb, last_key) else None))
+          | _ -> None))
+  in
+  Ok (merge_partition_groups per_part)
 
 (* --- blocked sequential inserts --------------------------------------------------------- *)
 
@@ -1615,13 +1512,16 @@ let buffered_delete t b ~key = buffer_op t b key Dp_msg.Ob_delete
 
 (* --- index scans -------------------------------------------------------------------------- *)
 
-let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
+(* An index scan in either stream shape. The index is viewed as a
+   one-partition key-sequenced file and scanned with VSBB, so selection on
+   index fields runs in the index's Disk Process; [pull sc base_row]
+   surfaces the next item, resolving each qualifying entry with one base
+   READ through [base_row]. *)
+let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock pull =
   let* schema = require_schema f in
   match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
   | None -> fail (Errors.Name_error ("unknown index " ^ index))
   | Some ix ->
-      (* scan the index with VSBB: selection on index fields runs in the
-         index's Disk Process; each qualifying entry costs one base read *)
       let ix_file : file =
         {
           fname = f.fname ^ "#ix_" ^ index;
@@ -1632,27 +1532,18 @@ let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
         }
       in
       let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
+      let base_row irow =
+        let* base_key = base_key_of_index_row f ix irow in
+        let p = route f base_key in
+        let* _k, record =
+          expect_record
+            (send t p.p_dp (Dp_msg.R_read { file = p.p_file; tx; key = base_key; lock }))
+        in
+        let row = Row.decode_exn schema record in
+        Ok (match proj with Some fields -> Row.project row fields | None -> row)
+      in
       let next () =
-        match
-          let* irow = scan_next t sc in
-          match irow with
-          | None -> Ok None
-          | Some irow ->
-              let* base_key = base_key_of_index_row f ix irow in
-              let p = route f base_key in
-              let* _k, record =
-                expect_record
-                  (send t p.p_dp
-                     (Dp_msg.R_read { file = p.p_file; tx; key = base_key; lock }))
-              in
-              let row = Row.decode_exn schema record in
-              let row =
-                match proj with
-                | Some fields -> Row.project row fields
-                | None -> row
-              in
-              Ok (Some row)
-        with
+        match pull sc base_row with
         | Ok (Some _) as r -> r
         | (Ok None | Error _) as r ->
             (* release eagerly at the end of the stream (scan-close is
@@ -1665,62 +1556,38 @@ let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
          scan's trace span *)
       Ok (next, fun () -> close_scan t sc)
 
+let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
+  open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock (fun sc base_row ->
+      let* irow = scan_next t sc in
+      match irow with
+      | None -> Ok None
+      | Some irow ->
+          let* row = base_row irow in
+          Ok (Some row))
+
 (* batch variant of [index_scan]: one call surfaces a whole buffered batch
    of index entries resolved to base rows. The index-scan pops are taken
    uncharged ([~tick:false]) and the pop tick is re-applied immediately
    before each base READ, so the message timeline is byte-identical to
    pulling rows one at a time. *)
 let index_scan_batch t f ~tx ~index ~range ?pred ?proj ~lock () =
-  let* schema = require_schema f in
-  match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
-  | None -> fail (Errors.Name_error ("unknown index " ^ index))
-  | Some ix ->
-      let ix_file : file =
-        {
-          fname = f.fname ^ "#ix_" ^ index;
-          schema = Some ix.ix_schema;
-          kind = Dp_msg.K_key_sequenced;
-          parts = [| { p_lo = ""; p_dp = ix.ix_dp; p_file = ix.ix_file } |];
-          indexes = [];
-        }
-      in
-      let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
-      let next_batch () =
-        match
-          let* irows = scan_next_batch ~tick:false t sc in
-          match irows with
-          | None -> Ok None
-          | Some irows ->
-              let n = Array.length irows in
-              let out = Array.make n [||] in
-              let rec fill i =
-                if i >= n then Ok (Some out)
-                else begin
-                  Sim.tick t.sim 3;
-                  let* base_key = base_key_of_index_row f ix irows.(i) in
-                  let p = route f base_key in
-                  let* _k, record =
-                    expect_record
-                      (send t p.p_dp
-                         (Dp_msg.R_read { file = p.p_file; tx; key = base_key; lock }))
-                  in
-                  let row = Row.decode_exn schema record in
-                  out.(i) <-
-                    (match proj with
-                    | Some fields -> Row.project row fields
-                    | None -> row);
-                  fill (i + 1)
-                end
-              in
-              fill 0
-        with
-        | Ok (Some _) as r -> r
-        | (Ok None | Error _) as r ->
-            (* release eagerly at the end of the stream (close is idempotent) *)
-            close_scan t sc;
-            r
-      in
-      Ok (next_batch, fun () -> close_scan t sc)
+  open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock (fun sc base_row ->
+      let* irows = scan_next_batch ~tick:false t sc in
+      match irows with
+      | None -> Ok None
+      | Some irows ->
+          let n = Array.length irows in
+          let out = Array.make n [||] in
+          let rec fill i =
+            if i >= n then Ok (Some out)
+            else begin
+              Sim.tick t.sim 3;
+              let* row = base_row irows.(i) in
+              out.(i) <- row;
+              fill (i + 1)
+            end
+          in
+          fill 0)
 
 (* --- online index creation ------------------------------------------------ *)
 

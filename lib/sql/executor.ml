@@ -41,6 +41,18 @@ let pp_rowset ppf rs =
    fire the same simulation events at the same times as the interleaved
    per-row charges they replace. *)
 
+(* a traced operator span around [f]: [f] gets a [note] for attributes
+   known only once the operator has run. Both engines use the same span
+   names and attributes, so profiles are comparable across them. *)
+let op_span ctx name attrs f =
+  if not (Trace.enabled ctx.sim) then f (fun _ -> ())
+  else begin
+    let sp = Trace.begin_span ctx.sim ~cat:"op" ~attrs name in
+    Fun.protect
+      ~finally:(fun () -> Trace.finish ctx.sim sp)
+      (fun () -> f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
+  end
+
 (* --- pull engine: base-table row streams ----------------------------------- *)
 
 (* pull all rows of the first table's access path *)
@@ -83,29 +95,21 @@ let scan_table1 ctx (plan : select_plan) =
       Fun.protect ~finally:close (fun () -> go [])
 
 let scan_table0 ctx (plan : select_plan) =
-  if not (Trace.enabled ctx.sim) then scan_table1 ctx plan
-  else begin
-    let tbl = plan.p_table in
-    let path =
-      match plan.p_access with
-      | Ap_primary _ -> "primary"
-      | Ap_index { index; _ } -> "index:" ^ index
-    in
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
-        ("scan " ^ tbl.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = scan_table1 ctx plan in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  let tbl = plan.p_table in
+  let path =
+    match plan.p_access with
+    | Ap_primary _ -> "primary"
+    | Ap_index { index; _ } -> "index:" ^ index
+  in
+  op_span ctx
+    ("scan " ^ tbl.Catalog.t_name)
+    [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
+    (fun note ->
+      let res = scan_table1 ctx plan in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 (* one nested-loop / keyed join step: extend each prefix row *)
 let join_step1 ctx prefix_rows step =
@@ -166,31 +170,23 @@ let join_step1 ctx prefix_rows step =
       Ok (List.concat joined)
 
 let join_step ctx prefix_rows step =
-  if not (Trace.enabled ctx.sim) then join_step1 ctx prefix_rows step
-  else begin
-    let tbl = step.j_table in
-    let kind =
-      match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
-    in
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("table", Trace.Str tbl.Catalog.t_name);
-            ("kind", Trace.Str kind);
-            ("rows_in", Trace.Int (List.length prefix_rows));
-          ]
-        ("join " ^ tbl.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = join_step1 ctx prefix_rows step in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  let tbl = step.j_table in
+  let kind =
+    match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
+  in
+  op_span ctx
+    ("join " ^ tbl.Catalog.t_name)
+    [
+      ("table", Trace.Str tbl.Catalog.t_name);
+      ("kind", Trace.Str kind);
+      ("rows_in", Trace.Int (List.length prefix_rows));
+    ]
+    (fun note ->
+      let res = join_step1 ctx prefix_rows step in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 let apply_post step rows =
   match step.j_post with
@@ -247,24 +243,15 @@ let group_rows1 ctx (g : group_spec) rows =
   | Some h -> List.filter (fun row -> Expr.eval_pred row h) output
 
 let group_rows ctx (g : group_spec) rows =
-  if not (Trace.enabled ctx.sim) then group_rows1 ctx g rows
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("rows_in", Trace.Int (List.length rows));
-            ("keys", Trace.Int (List.length g.g_keys));
-          ]
-        "group"
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let out = group_rows1 ctx g rows in
-        Trace.add_attr sp "rows_out" (Trace.Int (List.length out));
-        out)
-  end
+  op_span ctx "group"
+    [
+      ("rows_in", Trace.Int (List.length rows));
+      ("keys", Trace.Int (List.length g.g_keys));
+    ]
+    (fun note ->
+      let out = group_rows1 ctx g rows in
+      note [ ("rows_out", Trace.Int (List.length out)) ];
+      out)
 
 (* --- sort / project / limit ------------------------------------------------------ *)
 
@@ -289,17 +276,11 @@ let sort_rows1 ctx order rows =
   end
 
 let sort_rows ctx order rows =
-  if order = [] || not (Trace.enabled ctx.sim) then sort_rows1 ctx order rows
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:[ ("rows", Trace.Int (List.length rows)) ]
-        "sort"
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () -> sort_rows1 ctx order rows)
-  end
+  if order = [] then rows
+  else
+    op_span ctx "sort"
+      [ ("rows", Trace.Int (List.length rows)) ]
+      (fun _ -> sort_rows1 ctx order rows)
 
 let project rows exprs =
   List.map (fun row -> Array.of_list (List.map (fun e -> Expr.eval row e) exprs)) rows
@@ -366,26 +347,18 @@ let pushdown_group_rows1 ctx (plan : select_plan) (g : group_spec)
 
 let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
     (ap : agg_pushdown) =
-  if not (Trace.enabled ctx.sim) then pushdown_group_rows1 ctx plan g ap
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("table", Trace.Str plan.p_table.Catalog.t_name);
-            ("keys", Trace.Int (Array.length ap.ap_group_keys));
-          ]
-        ("group-pushdown " ^ plan.p_table.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = pushdown_group_rows1 ctx plan g ap in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  op_span ctx
+    ("group-pushdown " ^ plan.p_table.Catalog.t_name)
+    [
+      ("table", Trace.Str plan.p_table.Catalog.t_name);
+      ("keys", Trace.Int (Array.length ap.ap_group_keys));
+    ]
+    (fun note ->
+      let res = pushdown_group_rows1 ctx plan g ap in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 let run_select_pull ctx (plan : select_plan) =
   let* rows =
@@ -408,28 +381,16 @@ let run_select_pull ctx (plan : select_plan) =
           | None -> rows)
   in
   let rows = sort_rows ctx plan.p_order rows in
-  let emit () =
-    let rows = project rows plan.p_exprs in
-    let rows = if plan.p_distinct then distinct rows else rows in
-    let rows = limit plan.p_limit rows in
-    Sim.tick ctx.sim (2 * List.length rows);
-    rows
-  in
   let rows =
-    if not (Trace.enabled ctx.sim) then emit ()
-    else begin
-      let sp =
-        Trace.begin_span ctx.sim ~cat:"op"
-          ~attrs:[ ("rows_in", Trace.Int (List.length rows)) ]
-          "emit"
-      in
-      Fun.protect
-        ~finally:(fun () -> Trace.finish ctx.sim sp)
-        (fun () ->
-          let rows = emit () in
-          Trace.add_attr sp "rows_out" (Trace.Int (List.length rows));
-          rows)
-    end
+    op_span ctx "emit"
+      [ ("rows_in", Trace.Int (List.length rows)) ]
+      (fun note ->
+        let rows = project rows plan.p_exprs in
+        let rows = if plan.p_distinct then distinct rows else rows in
+        let rows = limit plan.p_limit rows in
+        Sim.tick ctx.sim (2 * List.length rows);
+        note [ ("rows_out", Trace.Int (List.length rows)) ];
+        rows)
   in
   Ok { cols = plan.p_names; rows }
 
@@ -441,17 +402,6 @@ let run_select_pull ctx (plan : select_plan) =
    pure OCaml, and re-applied per row exactly where the pull path put them
    when a per-row message follows (keyed joins, index base reads) — see
    [Fs.scan_next_batch] for the contract. *)
-
-(* a traced operator span around [f], sharing the pull engine's span
-   names/attrs so profiles are comparable across engines *)
-let op_span ctx name attrs f =
-  if not (Trace.enabled ctx.sim) then f (fun _ -> ())
-  else begin
-    let sp = Trace.begin_span ctx.sim ~cat:"op" ~attrs name in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () -> f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
-  end
 
 (* scan the first table's access path as a list of batches, in order *)
 let scan_batches1 ctx (plan : select_plan) =
@@ -806,22 +756,10 @@ let run_select ctx (plan : select_plan) =
   else run_select_pull ctx plan
 
 let traced_dml ctx name table f =
-  if not (Trace.enabled ctx.sim) then f ()
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:[ ("table", Trace.Str table) ]
-        (name ^ " " ^ table)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = f () in
-        (match res with
-        | Ok n -> Trace.add_attr sp "rows" (Trace.Int n)
-        | Error _ -> ());
-        res)
-  end
+  op_span ctx (name ^ " " ^ table) [ ("table", Trace.Str table) ] (fun note ->
+      let res = f () in
+      (match res with Ok n -> note [ ("rows", Trace.Int n) ] | Error _ -> ());
+      res)
 
 let run_update ctx (plan : update_plan) =
   traced_dml ctx "update" plan.up_table.Catalog.t_name (fun () ->
