@@ -7,9 +7,13 @@ module Tbl = Nsql_util.Tbl
 module Errors = Nsql_util.Errors
 module Trace = Nsql_trace.Trace
 
+type view = ..
+type view += No_view
+
 type frame = {
   block : int;
   mutable data : string;
+  mutable view : view;  (** decoded [data]; [No_view] until first decoded *)
   mutable dirty : bool;
   mutable page_lsn : int64;
   mutable valid_at : float;  (** async read in flight until this time *)
@@ -102,6 +106,7 @@ let insert t block data ~dirty ~lsn ~valid_at =
     {
       block;
       data;
+      view = No_view;
       dirty;
       page_lsn = lsn;
       valid_at;
@@ -135,17 +140,30 @@ let miss t =
   let s = Sim.stats t.sim in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1
 
-let read t block =
+let read_frame t block =
   match Hashtbl.find_opt t.table block with
   | Some f ->
       hit t f;
-      f.data
+      f
   | None ->
       miss t;
       let data = Disk.read t.disk block in
       let f = insert t block data ~dirty:false ~lsn:0L ~valid_at:(Sim.now t.sim) in
       Sim.tick t.sim 5;
-      f.data
+      f
+
+let read t block = (read_frame t block).data
+
+(* The view is host-side memoisation only: decoding charges nothing, so
+   the clock and stats are exactly those of [read]. *)
+let read_view t block decode =
+  let f = read_frame t block in
+  match f.view with
+  | No_view ->
+      let v = decode f.data in
+      f.view <- v;
+      v
+  | v -> v
 
 let write t block data ~lsn =
   Sim.tick t.sim 3;
@@ -155,6 +173,7 @@ let write t block data ~lsn =
           Sim.wait_until t.sim f.valid_at);
       touch t f;
       f.data <- data;
+      f.view <- No_view;
       f.dirty <- true;
       if Int64.compare lsn f.page_lsn > 0 then f.page_lsn <- lsn
   | None ->

@@ -44,9 +44,26 @@ val cached : t -> int
 (** [read t block] returns the block contents, fetching on a miss. *)
 val read : t -> int -> string
 
-(** [write t block data ~lsn] replaces the cached contents; the block
-    becomes dirty with [page_lsn = max old lsn]. No disk I/O happens here —
-    the WAL protocol governs when the frame reaches disk. *)
+(** A decoded form of a frame's contents, owned by the frame. Clients
+    extend the type with their own decoded representation. *)
+type view = ..
+
+type view += No_view  (** the frame holds no decoded form yet *)
+
+(** [read_view t block decode] accesses [block] exactly as {!read} does —
+    same hit/miss accounting, LRU touch, in-flight wait and CPU charge —
+    and returns the frame's decoded view, calling [decode] on the contents
+    only if the frame holds none. The view lives as long as the frame's
+    bytes: {!write} drops it, and it leaves the pool with the frame on
+    eviction, {!steal} and {!drop_all}. [decode] must be a pure function
+    of the bytes, must not return [No_view], and its result must never be
+    mutated, since every later reader shares it. *)
+val read_view : t -> int -> (string -> view) -> view
+
+(** [write t block data ~lsn] replaces the cached contents and drops the
+    frame's decoded view; the block becomes dirty with
+    [page_lsn = max old lsn]. No disk I/O happens here — the WAL protocol
+    governs when the frame reaches disk. *)
 val write : t -> int -> string -> lsn:int64 -> unit
 
 (** [read_range t ~first ~count] ensures blocks [first..first+count-1] are

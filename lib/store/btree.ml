@@ -15,7 +15,18 @@ type t = {
 
 let alloc_block t = Disk.allocate (Cache.disk t.cache) 1
 
-let read_page t block = Page.decode (Cache.read t.cache block)
+(* Each resident frame keeps its decoded page, so a page is decoded once
+   per residency instead of once per access; the cache drops the view
+   whenever the frame's bytes change. Page.t is immutable, so sharing the
+   view between readers is safe. *)
+type Cache.view += Page_view of Page.t
+
+let read_page t block =
+  match
+    Cache.read_view t.cache block (fun data -> Page_view (Page.decode data))
+  with
+  | Page_view p -> p
+  | _ -> invalid_arg "Btree.read_page: block holds a foreign view"
 
 let write_page t block page ~lsn =
   Cache.write t.cache block (Page.encode ~block_size:t.block_size page) ~lsn

@@ -77,6 +77,11 @@ val cursor_block : cursor -> int option
 
 (** {1 Diagnostics} *)
 
+(** [read_page t block] is the page stored in [block], read through the
+    cache. The page is the cache frame's decoded view, shared by every
+    reader: callers must not mutate its entry arrays. *)
+val read_page : t -> int -> Page.t
+
 (** [leaf_blocks t] lists leaf block numbers in key order. *)
 val leaf_blocks : t -> int list
 

@@ -58,7 +58,8 @@ let append t ~record ~lsn =
     Bytes.set data off (Char.chr (len land 0xff));
     Bytes.set data (off + 1) (Char.chr (len lsr 8));
     Bytes.blit_string record 0 data (off + 2) (String.length record);
-    Cache.write t.cache block (Bytes.to_string data) ~lsn;
+    (* [data] is a private copy, never touched after the hand-over *)
+    Cache.write t.cache block (Bytes.unsafe_to_string data) ~lsn;
     t.tail_offset <- off + need;
     t.count <- t.count + 1;
     Sim.tick t.sim 8;
@@ -132,7 +133,8 @@ let truncate_to t ~addr ~lsn =
     let data = Bytes.of_string (Cache.read t.cache block) in
     Bytes.set data off '\x00';
     Bytes.set data (off + 1) '\x00';
-    Cache.write t.cache block (Bytes.to_string data) ~lsn;
+    (* [data] is a private copy, never touched after the hand-over *)
+    Cache.write t.cache block (Bytes.unsafe_to_string data) ~lsn;
     t.nblocks <- logical + 1;
     t.tail_offset <- off;
     t.count <- t.count - !discarded;

@@ -1,8 +1,8 @@
 module Codec = Nsql_util.Codec
 
 type t =
-  | Leaf of { mutable entries : (string * string) array; mutable next : int }
-  | Node of { mutable child0 : int; mutable entries : (string * int) array }
+  | Leaf of { entries : (string * string) array; next : int }
+  | Node of { child0 : int; entries : (string * int) array }
 
 let empty_leaf = Leaf { entries = [||]; next = -1 }
 
@@ -52,7 +52,7 @@ let encode ~block_size p =
     invalid_arg
       (Printf.sprintf "Page.encode: page of %d bytes exceeds block size %d" n
          block_size);
-  Codec.contents w ^ String.make (block_size - n) '\x00'
+  Codec.contents_padded w block_size
 
 let decode s =
   let r = Codec.reader s in

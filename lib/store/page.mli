@@ -3,12 +3,16 @@
     A page is the in-memory image of one disk block of a key-sequenced
     file. Leaves hold (encoded key, record image) pairs in key order and
     are chained for sequential scans; internal nodes hold separator keys
-    and child block numbers. *)
+    and child block numbers.
+
+    A decoded page is shared by every reader of its cache frame, so it is
+    never modified in place: the fields are immutable, and edits build new
+    entry arrays. *)
 
 type t =
-  | Leaf of { mutable entries : (string * string) array; mutable next : int }
+  | Leaf of { entries : (string * string) array; next : int }
       (** [next] is the block number of the right sibling, or -1 *)
-  | Node of { mutable child0 : int; mutable entries : (string * int) array }
+  | Node of { child0 : int; entries : (string * int) array }
       (** keys in [entries] separate children: keys < entries.(0) go to
           [child0], keys in [[entries.(i), entries.(i+1))] to the child of
           entry [i] *)

@@ -80,7 +80,8 @@ let write_slot_raw t ~slot contents ~lsn =
       Bytes.set data off (Char.chr (len land 0xff));
       Bytes.set data (off + 1) (Char.chr (len lsr 8));
       Bytes.blit_string record 0 data (off + 2) (String.length record));
-  Cache.write t.cache block (Bytes.to_string data) ~lsn;
+  (* [data] is a private copy, never touched after the hand-over *)
+  Cache.write t.cache block (Bytes.unsafe_to_string data) ~lsn;
   Sim.tick t.sim 8
 
 let write t ~slot ~record ~lsn =

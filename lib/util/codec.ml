@@ -41,6 +41,11 @@ let w_bytes b s =
 let written = Buffer.length
 let contents = Buffer.contents
 
+let contents_padded b n =
+  let out = Bytes.make n '\x00' in
+  Buffer.blit b 0 out 0 (Buffer.length b);
+  Bytes.unsafe_to_string out
+
 type reader = { src : string; mutable pos : int }
 
 let reader ?(pos = 0) src = { src; pos }

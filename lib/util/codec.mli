@@ -36,6 +36,11 @@ val w_raw : writer -> string -> unit
 val written : writer -> int
 val contents : writer -> string
 
+(** [contents_padded w n] is the written bytes followed by zero bytes up to
+    exactly [n] bytes, built in one [n]-byte allocation. Raises
+    [Invalid_argument] if more than [n] bytes were written. *)
+val contents_padded : writer -> int -> string
+
 (** {1 Reader} *)
 
 type reader

@@ -166,6 +166,102 @@ let crash_drops_dirty () =
     (Disk.read disk 7);
   Alcotest.(check int) "cache empty" 0 (Cache.cached cache)
 
+(* --- decoded views ------------------------------------------------------- *)
+
+(* A view that records the bytes it was decoded from, and how many decodes
+   ran: the memo must call [decode] once per residency of unchanged bytes. *)
+type Cache.view += Copy of string
+
+let counting_decode decodes data =
+  incr decodes;
+  Copy data
+
+let view_data cache decodes block =
+  match Cache.read_view cache block (counting_decode decodes) with
+  | Copy data -> data
+  | _ -> Alcotest.fail "foreign view"
+
+(* Empty the pool one LRU victim at a time and report the order in which
+   blocks left it, coldest first. *)
+let lru_order cache =
+  let resident () = List.filter (Cache.resident cache) (List.init 256 Fun.id) in
+  let rec go acc =
+    match resident () with
+    | [] -> List.rev acc
+    | before ->
+        ignore (Cache.steal cache 1);
+        let after = resident () in
+        go (List.filter (fun b -> not (List.mem b after)) before @ acc)
+  in
+  go []
+
+(* The same access script through [read] and through [read_view] must
+   leave identical counters, clock, LRU order and returned bytes. Each
+   script begins with [pre], which runs the same calls on both sides. *)
+let view_accounting_matches_read () =
+  let run ~pre ~blocks via_view =
+    let sim, _disk, cache, _log = setup ~capacity:8 () in
+    pre sim cache;
+    let decodes = ref 0 in
+    let datas =
+      List.map
+        (fun b ->
+          if via_view then view_data cache decodes b else Cache.read cache b)
+        blocks
+    in
+    let stats = Stats.to_assoc (Sim.stats sim) and now = Sim.now sim in
+    (datas, stats, now, lru_order cache)
+  in
+  let check name ~pre ~blocks =
+    let datas, stats, now, lru = run ~pre ~blocks false in
+    let vdatas, vstats, vnow, vlru = run ~pre ~blocks true in
+    Alcotest.(check (list string)) (name ^ ": contents") datas vdatas;
+    Alcotest.(check (list (pair string int))) (name ^ ": stats") stats vstats;
+    Alcotest.(check (float 0.)) (name ^ ": clock") now vnow;
+    Alcotest.(check (list int)) (name ^ ": LRU order") lru vlru
+  in
+  let nothing _ _ = () in
+  check "miss" ~pre:nothing ~blocks:[ 3; 4; 5 ];
+  check "hit"
+    ~pre:(fun _ cache ->
+      for b = 0 to 5 do
+        Cache.write cache b (block_of cache (Char.chr (97 + b))) ~lsn:0L
+      done)
+    ~blocks:[ 2; 0; 2; 5; 1 ];
+  check "in-flight prefetch"
+    ~pre:(fun sim cache ->
+      Cache.prefetch cache ~first:0 ~count:6;
+      Sim.tick sim 10)
+    ~blocks:[ 1; 4; 1; 9; 12; 0 ];
+  check "evicting misses" ~pre:nothing
+    ~blocks:(List.init 20 (fun i -> i * 7 mod 13))
+
+(* A view is decoded once per residency of unchanged bytes; a write,
+   eviction, steal or crash drops it, and the next access decodes again. *)
+let view_dropped_on_change () =
+  let _sim, _disk, cache, _log = setup ~capacity:8 () in
+  let decodes = ref 0 in
+  let expect name n data =
+    Alcotest.(check string) (name ^ ": contents") data
+      (view_data cache decodes 5);
+    Alcotest.(check int) (name ^ ": decodes") n !decodes
+  in
+  let zero = block_of cache '\x00' and w = block_of cache 'w' in
+  expect "first access" 1 zero;
+  expect "memoised" 1 zero;
+  Cache.write cache 5 w ~lsn:1L;
+  expect "after write" 2 w;
+  expect "memoised after write" 2 w;
+  for b = 10 to 17 do
+    ignore (Cache.read cache b)
+  done;
+  Alcotest.(check bool) "evicted" false (Cache.resident cache 5);
+  expect "after eviction" 3 w;
+  ignore (Cache.steal cache 8);
+  expect "after steal" 4 w;
+  Cache.drop_all cache;
+  expect "after drop_all" 5 w
+
 let suite =
   [
     Alcotest.test_case "hit/miss counting" `Quick hit_miss_counting;
@@ -184,4 +280,8 @@ let suite =
       write_behind_strings;
     Alcotest.test_case "VM steal cleans and frees" `Quick steal_cleans_and_frees;
     Alcotest.test_case "crash drops dirty pages" `Quick crash_drops_dirty;
+    Alcotest.test_case "read_view accounts exactly like read" `Quick
+      view_accounting_matches_read;
+    Alcotest.test_case "view decoded again after write/evict/steal/crash"
+      `Quick view_dropped_on_change;
   ]

@@ -133,6 +133,19 @@ let successor_bounds () =
       Alcotest.(check bool) "ab... < ub" true (String.compare "ab\xff\xff" ub < 0)
   | None -> Alcotest.fail "expected upper bound"
 
+let contents_padded_zero_fills () =
+  let w = Codec.writer () in
+  Codec.w_bytes w "page";
+  Codec.w_u32 w 7;
+  Alcotest.(check string) "zero-filled to size"
+    (Codec.contents w ^ String.make (16 - Codec.written w) '\x00')
+    (Codec.contents_padded w 16);
+  Alcotest.(check string) "exact size" (Codec.contents w)
+    (Codec.contents_padded w (Codec.written w));
+  match Codec.contents_padded w 4 with
+  | _ -> Alcotest.fail "overflow accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "codec int roundtrip" `Quick roundtrip_ints;
@@ -140,6 +153,8 @@ let suite =
       roundtrip_strings;
     Alcotest.test_case "codec truncated read raises" `Quick truncated_raises;
     Alcotest.test_case "codec unread" `Quick unread_restores;
+    Alcotest.test_case "codec contents_padded" `Quick
+      contents_padded_zero_fills;
     Alcotest.test_case "keycode sentinels" `Quick sentinels;
     Alcotest.test_case "keycode successor / prefix bound" `Quick
       successor_bounds;

@@ -244,6 +244,77 @@ let btree_random_ops =
         model true
       && Btree.record_count t = Hashtbl.length model)
 
+(* Every page reachable from the root, read through the cache's decoded
+   view, must equal a fresh decode of the frame's bytes. *)
+let views_coherent cache t =
+  let rec walk block =
+    let page = Btree.read_page t block in
+    if page <> Page.decode (Cache.read cache block) then
+      failwith (Printf.sprintf "stale view of block %d" block);
+    match page with
+    | Page.Leaf _ -> ()
+    | Page.Node { child0; entries } ->
+        walk child0;
+        Array.iter (fun (_, c) -> walk c) entries
+  in
+  walk (Btree.root_block t)
+
+(* Random inserts, updates, deletes and bulk reloads on an 8-frame pool, so
+   frames are written, evicted and re-read with their views in every
+   state; the views must track the bytes after every step. Op 3 moves the
+   contents into a fresh tree with [load_sorted]. *)
+let btree_views_coherent =
+  QCheck.Test.make ~name:"btree page views track frame bytes" ~count:30
+    QCheck.(list (pair (int_bound 3) (int_bound 200)))
+    (fun ops ->
+      let sim, cache = setup ~capacity:8 () in
+      let t = ref (Btree.create sim cache ~name:"T") in
+      let model = Hashtbl.create 64 in
+      let record key tag =
+        Printf.sprintf "%s%d-%s" tag key (String.make (100 + key) 'v')
+      in
+      List.iter
+        (fun (op, key) ->
+          let ks = k key in
+          (match op with
+          | 0 -> (
+              let r = record key "i" in
+              match Btree.insert !t ~key:ks ~record:r ~lsn:1L with
+              | Ok () -> Hashtbl.replace model key r
+              | Error (Errors.Duplicate_key _) -> ()
+              | Error e -> failwith (Errors.to_string e))
+          | 1 -> (
+              match Btree.delete !t ~key:ks ~lsn:1L with
+              | Ok _ -> Hashtbl.remove model key
+              | Error (Errors.Not_found_key _) -> ()
+              | Error e -> failwith (Errors.to_string e))
+          | 2 -> (
+              let r = record key "u" in
+              match Btree.update !t ~key:ks ~record:r ~lsn:1L with
+              | Ok _ -> Hashtbl.replace model key r
+              | Error (Errors.Not_found_key _) -> ()
+              | Error e -> failwith (Errors.to_string e))
+          | _ ->
+              let sorted =
+                List.sort compare
+                  (Hashtbl.fold (fun key r acc -> (key, r) :: acc) model [])
+              in
+              let fresh = Btree.create sim cache ~name:"T" in
+              get_ok ~ctx:"load"
+                (Btree.load_sorted fresh
+                   (List.map (fun (key, r) -> (k key, r)) sorted)
+                   ~lsn:1L);
+              t := fresh);
+          views_coherent cache !t;
+          match Btree.check_invariants !t with
+          | Ok () -> ()
+          | Error e -> failwith e)
+        ops;
+      Hashtbl.fold
+        (fun key r acc -> acc && Btree.lookup !t (k key) = Some r)
+        model true
+      && Btree.record_count !t = Hashtbl.length model)
+
 (* --- relative files ------------------------------------------------------ *)
 
 let relfile_basics () =
@@ -322,6 +393,7 @@ let suite =
     Alcotest.test_case "btree bulk load rejects bad input" `Quick
       bulk_load_rejects;
     QCheck_alcotest.to_alcotest btree_random_ops;
+    QCheck_alcotest.to_alcotest btree_views_coherent;
     Alcotest.test_case "relfile basics" `Quick relfile_basics;
     Alcotest.test_case "relfile many slots" `Quick relfile_many_slots;
     Alcotest.test_case "entryfile basics" `Quick entryfile_basics;
