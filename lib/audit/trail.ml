@@ -209,8 +209,7 @@ let await_durable t lsn =
     if !guard > 1000 then failwith "Trail.await_durable: stuck";
     if t.timer_armed then begin
       (* group-commit: idle until the timer pops *)
-      Nsql_sim.Moncore.with_cat (Sim.moncore t.sim) Nsql_sim.Moncore.C_await
-        (fun () -> Sim.wait_until t.sim t.timer_due);
+      Sim.wait_until ~cat:Nsql_sim.Moncore.C_await t.sim t.timer_due;
       Sim.flush_events t.sim;
       (* the timer event may have found nothing pending; ensure progress *)
       if Int64.compare t.durable_lsn lsn < 0 then flush t Flush_timer

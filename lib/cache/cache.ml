@@ -18,20 +18,39 @@ type frame = {
   mutable page_lsn : int64;
   mutable valid_at : float;  (** async read in flight until this time *)
   mutable durable_at : float;  (** async write in flight until this time *)
-  mutable prev : frame option;  (** towards MRU *)
-  mutable next : frame option;  (** towards LRU *)
+  mutable prev : frame;  (** towards MRU *)
+  mutable next : frame;  (** towards LRU *)
 }
 
+(* The LRU list is an intrusive ring through a sentinel frame that is never
+   in [table]: [ring.next] is the MRU frame, [ring.prev] the LRU one, and
+   the ring is empty when the sentinel links to itself. Relinking a frame
+   on a hit allocates nothing. *)
 type t = {
   sim : Sim.t;
   disk : Disk.t;
   capacity : int;
   table : (int, frame) Hashtbl.t;
-  mutable mru : frame option;
-  mutable lru : frame option;
+  ring : frame;
   durable_lsn : unit -> int64;
   force_log : int64 -> unit;
 }
+
+let sentinel () =
+  let rec s =
+    {
+      block = -1;
+      data = "";
+      view = No_view;
+      dirty = false;
+      page_lsn = 0L;
+      valid_at = 0.;
+      durable_at = 0.;
+      prev = s;
+      next = s;
+    }
+  in
+  s
 
 let create sim disk ~capacity ~durable_lsn ~force_log =
   if capacity < 8 then invalid_arg "Cache.create: capacity < 8";
@@ -40,8 +59,7 @@ let create sim disk ~capacity ~durable_lsn ~force_log =
     disk;
     capacity;
     table = Hashtbl.create (2 * capacity);
-    mru = None;
-    lru = None;
+    ring = sentinel ();
     durable_lsn;
     force_log;
   }
@@ -52,20 +70,21 @@ let cached t = Hashtbl.length t.table
 
 (* --- LRU list maintenance -------------------------------------------- *)
 
-let unlink t f =
-  (match f.prev with Some p -> p.next <- f.next | None -> t.mru <- f.next);
-  (match f.next with Some n -> n.prev <- f.prev | None -> t.lru <- f.prev);
-  f.prev <- None;
-  f.next <- None
+let unlink f =
+  f.prev.next <- f.next;
+  f.next.prev <- f.prev;
+  f.prev <- f;
+  f.next <- f
 
 let push_mru t f =
-  f.prev <- None;
-  f.next <- t.mru;
-  (match t.mru with Some m -> m.prev <- Some f | None -> t.lru <- Some f);
-  t.mru <- Some f
+  let s = t.ring in
+  f.prev <- s;
+  f.next <- s.next;
+  s.next.prev <- f;
+  s.next <- f
 
 let touch t f =
-  unlink t f;
+  unlink f;
   push_mru t f
 
 (* --- cleaning and eviction ------------------------------------------- *)
@@ -82,18 +101,17 @@ let clean_frame t f =
   end
   else
     (* an async write may still be in flight; eviction must wait for it *)
-    Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-        Sim.wait_until t.sim f.durable_at)
+    Sim.wait_until ~cat:Moncore.C_disk t.sim f.durable_at
 
 let evict_frame t f =
   clean_frame t f;
-  unlink t f;
+  unlink f;
   Hashtbl.remove t.table f.block
 
 let evict_lru t =
-  match t.lru with
-  | Some f -> evict_frame t f
-  | None -> Errors.fatal "Cache: no evictable frame"
+  let f = t.ring.prev in
+  if f == t.ring then Errors.fatal "Cache: no evictable frame"
+  else evict_frame t f
 
 let make_room t =
   while Hashtbl.length t.table >= t.capacity do
@@ -102,7 +120,7 @@ let make_room t =
 
 let insert t block data ~dirty ~lsn ~valid_at =
   make_room t;
-  let f =
+  let rec f =
     {
       block;
       data;
@@ -111,8 +129,8 @@ let insert t block data ~dirty ~lsn ~valid_at =
       page_lsn = lsn;
       valid_at;
       durable_at = 0.;
-      prev = None;
-      next = None;
+      prev = f;
+      next = f;
     }
   in
   Hashtbl.replace t.table block f;
@@ -131,8 +149,7 @@ let hit t f =
   touch t f;
   (* if the block was pre-fetched and has not landed yet, wait out the
      remaining latency (still cheaper than a fresh synchronous read) *)
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim f.valid_at);
+  Sim.wait_until ~cat:Moncore.C_disk t.sim f.valid_at;
   Sim.tick t.sim 3
 
 let miss t =
@@ -140,12 +157,13 @@ let miss t =
   let s = Sim.stats t.sim in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1
 
+(* [Hashtbl.find] rather than [find_opt]: a hit builds no option *)
 let read_frame t block =
-  match Hashtbl.find_opt t.table block with
-  | Some f ->
+  match Hashtbl.find t.table block with
+  | f ->
       hit t f;
       f
-  | None ->
+  | exception Not_found ->
       miss t;
       let data = Disk.read t.disk block in
       let f = insert t block data ~dirty:false ~lsn:0L ~valid_at:(Sim.now t.sim) in
@@ -167,16 +185,15 @@ let read_view t block decode =
 
 let write t block data ~lsn =
   Sim.tick t.sim 3;
-  match Hashtbl.find_opt t.table block with
-  | Some f ->
-      Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-          Sim.wait_until t.sim f.valid_at);
+  match Hashtbl.find t.table block with
+  | f ->
+      Sim.wait_until ~cat:Moncore.C_disk t.sim f.valid_at;
       touch t f;
       f.data <- data;
       f.view <- No_view;
       f.dirty <- true;
       if Int64.compare lsn f.page_lsn > 0 then f.page_lsn <- lsn
-  | None ->
+  | exception Not_found ->
       (* write of a whole block without reading it first *)
       ignore (insert t block data ~dirty:true ~lsn ~valid_at:(Sim.now t.sim))
 
@@ -215,8 +232,7 @@ let missing_strings t ~first ~count =
    very call issued is not a cache hit. *)
 let absorb t f =
   touch t f;
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim f.valid_at);
+  Sim.wait_until ~cat:Moncore.C_disk t.sim f.valid_at;
   Sim.tick t.sim 3
 
 let read_range t ~first ~count =
@@ -339,7 +355,7 @@ let flush_all t =
 let steal t n =
   let s = Sim.stats t.sim in
   let freed = ref 0 in
-  while !freed < n && t.lru <> None do
+  while !freed < n && t.ring.prev != t.ring do
     evict_lru t;
     incr freed;
     s.Stats.cache_steals <- s.Stats.cache_steals + 1
@@ -352,8 +368,12 @@ let steal t n =
 
 let drop_all t =
   Hashtbl.reset t.table;
-  t.mru <- None;
-  t.lru <- None
+  t.ring.next <- t.ring;
+  t.ring.prev <- t.ring
+
+let mru_order t =
+  let rec go f acc = if f == t.ring then List.rev acc else go f.next (f.block :: acc) in
+  go t.ring.next []
 
 let resident t block = Hashtbl.mem t.table block
 

@@ -107,3 +107,8 @@ val is_dirty : t -> int -> bool
 
 (** [dirty_count t] is the number of dirty resident frames. *)
 val dirty_count : t -> int
+
+(** [mru_order t] lists the resident blocks from most to least recently
+    used, the order eviction takes them in reverse. (No LRU effect; for
+    tests of the replacement order.) *)
+val mru_order : t -> int list

@@ -146,9 +146,8 @@ let in_tx_retry ?(max_retries = 8) ?(backoff_us = 200.) node f =
     | None ->
         (* bounded exponential backoff, charged to the simulated clock so
            competing sessions restart at staggered, deterministic times *)
-        Moncore.with_cat (Sim.moncore node.sim) Moncore.C_await (fun () ->
-            Sim.charge node.sim
-              (backoff_us *. (2. ** float_of_int (min attempt 6))));
+        Sim.charge ~cat:Moncore.C_await node.sim
+          (backoff_us *. (2. ** float_of_int (min attempt 6)));
         go (attempt + 1)
   in
   go 0

@@ -265,8 +265,7 @@ let submit_write t ~first data =
    the wait run before the contents are observed). The sole blocking wait
    in this module. *)
 let complete t io =
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim io.io_done);
+  Sim.wait_until ~cat:Moncore.C_disk t.sim io.io_done;
   ignore (retire t);
   let blocks =
     if io.io_read then fetch t ~first:io.io_first ~count:io.io_count

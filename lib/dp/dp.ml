@@ -925,17 +925,13 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
                 match row with Some r -> r | None -> Row.decode_exn sch record
               in
               let projected = Row.project row fields in
-              let w = Nsql_util.Codec.writer () in
-              Row.encode_values w projected;
-              reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
+              reply_bytes := !reply_bytes + Row.values_size projected;
               out := `Row projected :: !out
           | B_vsbb, None, Some sch ->
               let row =
                 match row with Some r -> r | None -> Row.decode_exn sch record
               in
-              let w = Nsql_util.Codec.writer () in
-              Row.encode_values w row;
-              reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
+              reply_bytes := !reply_bytes + Row.values_size row;
               out := `Row row :: !out
           | B_vsbb, _, None | B_rsbb, _, _ ->
               reply_bytes := !reply_bytes + String.length key + String.length record;
@@ -1850,8 +1846,7 @@ let takeover t =
         t.replica <- None;
         (* rebuild cost: one message-handling quantum plus work linear in
            the replayed state *)
-        Moncore.with_cat (Sim.moncore t.sim) Moncore.C_ckpt (fun () ->
-            Sim.charge t.sim cfg.Config.msg_cpu_cost_us);
+        Sim.charge ~cat:Moncore.C_ckpt t.sim cfg.Config.msg_cpu_cost_us;
         Sim.tick t.sim (50 * !items);
         (* re-dispatch survivors: a waiter whose blocker never checkpointed
            re-parks against the restored lock table *)
@@ -1883,8 +1878,7 @@ let takeover t =
                          (t.dp_name ^ ": primary failed, state not checkpointed"))))
             end)
           parked;
-        Moncore.with_cat (Sim.moncore t.sim) Moncore.C_ckpt (fun () ->
-            Sim.charge t.sim cfg.Config.msg_cpu_cost_us));
+        Sim.charge ~cat:Moncore.C_ckpt t.sim cfg.Config.msg_cpu_cost_us);
     Ok ()
   end
 

@@ -89,7 +89,7 @@ let charge_hop ?(cat = Moncore.C_msg) t ~from ~to_ bytes =
     distance_cost cfg ~from ~to_
     +. (float_of_int bytes *. cfg.Config.msg_per_byte_us)
   in
-  Moncore.with_cat (Sim.moncore t.sim) cat (fun () -> Sim.charge t.sim cost)
+  Sim.charge ~cat t.sim cost
 
 type raw_result = R_ready of string | R_deferred of deferral
 
@@ -110,14 +110,12 @@ let do_send t ~from ~tag e request =
       match filter ~from ~to_name:e.name ~tag with
       | Fault_pass -> ()
       | Fault_delay d ->
-          Moncore.with_cat (Sim.moncore t.sim) Moncore.C_msg (fun () ->
-              Sim.charge t.sim d)
+          Sim.charge ~cat:Moncore.C_msg t.sim d
       | Fault_path_retry d ->
           stats.Stats.msg_path_retries <- stats.Stats.msg_path_retries + 1;
           (* the failed attempt still cost a hop before the timeout *)
           charge_hop t ~from ~to_:e.processor (String.length request);
-          Moncore.with_cat (Sim.moncore t.sim) Moncore.C_msg (fun () ->
-              Sim.charge t.sim d)));
+          Sim.charge ~cat:Moncore.C_msg t.sim d));
   charge_hop t ~from ~to_:e.processor (String.length request);
   let ctx = { cc_from = from; cc_endpoint = e; cc_deferral = None } in
   let saved = t.current_call in
@@ -270,8 +268,7 @@ let await t c =
   Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_outstanding (-1);
   match c with
   | C_ready { c_reply; c_done_at } ->
-      Moncore.with_cat (Sim.moncore t.sim) Moncore.C_await (fun () ->
-          Sim.wait_until t.sim c_done_at);
+      Sim.wait_until ~cat:Moncore.C_await t.sim c_done_at;
       c_reply
   | C_pending d -> pump_until_resolved t d
 

@@ -167,15 +167,10 @@ let validate s row =
 (* Fixed-width CHAR fields are blank padded on disk, like ENSCRIBE. *)
 let pad_char n s = if String.length s >= n then s else s ^ String.make (n - String.length s) ' '
 
-let rstrip_blanks s =
-  let n = ref (String.length s) in
-  while !n > 0 && s.[!n - 1] = ' ' do decr n done;
-  String.sub s 0 !n
-
 let encode_field w ty v =
   match (v, ty) with
   | Null, _ -> ()
-  | Vint i, T_int -> Codec.w_i64 w (Int64.of_int i)
+  | Vint i, T_int -> Codec.w_int w i
   | Vfloat f, T_float -> Codec.w_float w f
   | Vbool b, T_bool -> Codec.w_bool w b
   | Vstr s, T_char n -> Codec.w_raw w (pad_char n s)
@@ -201,25 +196,31 @@ let encode s row =
 
 let decode_field r ty =
   match ty with
-  | T_int -> Vint (Int64.to_int (Codec.r_i64 r))
+  | T_int -> Vint (Codec.r_int r)
   | T_float -> Vfloat (Codec.r_float r)
   | T_bool -> Vbool (Codec.r_bool r)
-  | T_char n -> Vstr (rstrip_blanks (Codec.r_raw r n))
+  | T_char n -> Vstr (Codec.r_raw_rstrip r n)
   | T_varchar _ -> Vstr (Codec.r_bytes r)
 
+let truncated () = fail (Internal "Row.decode: truncated record image")
+
+(* The null bitmap is read in place from the record image; fields follow
+   it. *)
 let decode s bytes_ =
-  let n = Array.length s.cols in
+  let cols = s.cols in
+  let n = Array.length cols in
   let nbytes = (n + 7) / 8 in
-  try
-    let r = Codec.reader bytes_ in
-    let bitmap = Codec.r_raw r nbytes in
-    let is_null i = Char.code bitmap.[i / 8] land (1 lsl (i mod 8)) <> 0 in
-    let row =
-      Array.init n (fun i ->
-          if is_null i then Null else decode_field r s.cols.(i).col_type)
-    in
-    Ok row
-  with Codec.Truncated -> fail (Internal "Row.decode: truncated record image")
+  if String.length bytes_ < nbytes then truncated ()
+  else
+    try
+      let r = Codec.reader ~pos:nbytes bytes_ in
+      let row = Array.make n Null in
+      for i = 0 to n - 1 do
+        if Char.code (String.unsafe_get bytes_ (i lsr 3)) land (1 lsl (i land 7)) = 0
+        then row.(i) <- decode_field r cols.(i).col_type
+      done;
+      Ok row
+    with Codec.Truncated -> truncated ()
 
 let decode_exn s bytes_ =
   match decode s bytes_ with
@@ -233,7 +234,7 @@ let encode_value w v =
   | Null -> Codec.w_u8 w 0
   | Vint i ->
       Codec.w_u8 w 1;
-      Codec.w_i64 w (Int64.of_int i)
+      Codec.w_int w i
   | Vfloat f ->
       Codec.w_u8 w 2;
       Codec.w_float w f
@@ -247,7 +248,7 @@ let encode_value w v =
 let decode_value r =
   match Codec.r_u8 r with
   | 0 -> Null
-  | 1 -> Vint (Int64.to_int (Codec.r_i64 r))
+  | 1 -> Vint (Codec.r_int r)
   | 2 -> Vfloat (Codec.r_float r)
   | 3 -> Vbool (Codec.r_bool r)
   | 4 -> Vstr (Codec.r_bytes r)
@@ -300,6 +301,20 @@ let decode_schema r =
 let encode_values w row =
   Codec.w_varint w (Array.length row);
   Array.iter (fun v -> encode_value w v) row
+
+let value_size = function
+  | Null -> 1
+  | Vint _ | Vfloat _ -> 9
+  | Vbool _ -> 2
+  | Vstr s ->
+      let n = String.length s in
+      1 + Codec.varint_size n + n
+
+let values_size row =
+  Array.fold_left
+    (fun acc v -> acc + value_size v)
+    (Codec.varint_size (Array.length row))
+    row
 
 let decode_values r =
   let n = Codec.r_varint r in

@@ -94,6 +94,10 @@ val decode_schema : Nsql_util.Codec.reader -> schema
 val encode_values : Nsql_util.Codec.writer -> row -> unit
 val decode_values : Nsql_util.Codec.reader -> row
 
+(** [values_size row] is the number of bytes [encode_values] writes for
+    [row], computed without encoding it. *)
+val values_size : row -> int
+
 (** {1 Keys} *)
 
 (** [key_of_row s row] encodes the primary-key columns order-preservingly. *)

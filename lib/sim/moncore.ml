@@ -4,9 +4,10 @@
    Like [Tracer], this module is pure bookkeeping. It never touches the
    simulation — callers pass clock values in, and every entry point is a
    single [enabled] branch when monitoring is off. The simulated clock
-   itself is attributed here: [Sim.advance_to] reports every real clock
-   movement through [clock_advance], tagged with the *category* current
-   at that instant ([with_cat] around charges and waits), so the
+   itself is attributed here: while monitoring is on, [Sim.advance_to]
+   reports every real clock movement through [clock_advance], tagged with
+   the *category* current at that instant ([with_cat], or the [?cat] of
+   [Sim.charge] and [Sim.wait_until]), so the
    per-category totals tile [Sim.now] deltas exactly — every config time
    constant is a binary-exact multiple of 0.25 us far below 2^52, so the
    float additions that split an advance across categories and slice

@@ -21,24 +21,32 @@ val tracer : t -> Tracer.t
     Drive it through the high-level [Nsql_monitor.Monitor] API. While
     enabled, every real clock advance is attributed to the current
     {!Moncore.cat} and apportioned across sampler slices — [tick] runs
-    under [C_compute], [drain] under [C_await], and subsystems wrap
-    their own charges — so per-category totals tile [now] deltas
-    exactly. Bit-identical results, stats, and clock either way. *)
+    under [C_compute], [drain] under [C_await], and subsystems pass
+    [?cat] to their charges and waits — so per-category totals tile
+    [now] deltas exactly. Bit-identical results, stats, and clock either
+    way. *)
 val moncore : t -> Moncore.t
 
 (** [now t] is the current simulated time in microseconds. *)
 val now : t -> float
 
 (** [tick t n] charges [n] CPU ticks: bumps the counter and advances the
-    clock by [n * cpu_tick_us], firing any events that come due. *)
+    clock by [n * cpu_tick_us] under [C_compute], firing any events that
+    come due. It is [charge ~cat:C_compute] plus the counter. *)
 val tick : t -> int -> unit
 
-(** [charge t us] advances the clock by [us] microseconds. *)
-val charge : t -> float -> unit
+(** [charge ?cat t us] advances the clock by [us] microseconds. With
+    monitoring on, the movement is attributed to [cat] (default: the
+    category current at the call). Under a {!capture} the time
+    accumulates virtually instead. When monitoring is off and no event is
+    due by the target time, the clock is set directly and nothing is
+    allocated. *)
+val charge : ?cat:Moncore.cat -> t -> float -> unit
 
-(** [wait_until t when_] advances the clock to at least [when_]. Used when a
+(** [wait_until ?cat t when_] advances the clock to at least [when_],
+    attributing the movement to [cat] as {!charge} does. Used when a
     synchronous operation must wait for an asynchronous completion. *)
-val wait_until : t -> float -> unit
+val wait_until : ?cat:Moncore.cat -> t -> float -> unit
 
 (** [schedule t ~at f] registers [f] to fire when the clock reaches [at].
     Events scheduled at or before the current time fire on the next clock

@@ -96,8 +96,8 @@ let sort ?(ways = 4) ?(run_capacity = 256) sim ~compare items =
     let max_work =
       Array.fold_left (fun acc (_, w) -> max acc w) 0 sub_outputs_and_work
     in
-    Nsql_sim.Moncore.with_cat (Sim.moncore sim) Nsql_sim.Moncore.C_compute
-      (fun () -> Sim.charge sim (float_of_int max_work *. 0.5));
+    Sim.charge ~cat:Nsql_sim.Moncore.C_compute sim
+      (float_of_int max_work *. 0.5);
     (* final fan-in merge runs on the coordinating processor *)
     let before = !comparisons in
     let final =

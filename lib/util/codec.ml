@@ -16,7 +16,7 @@ let w_u32 b v =
   w_u16 b ((v lsr 16) land 0xffff)
 
 let w_i64 b v = Buffer.add_int64_le b v
-let w_int b v = w_i64 b (Int64.of_int v)
+let w_int b v = Buffer.add_int64_le b (Int64.of_int v)
 
 let w_varint b n =
   if n < 0 then invalid_arg "Codec.w_varint: negative";
@@ -28,6 +28,8 @@ let w_varint b n =
     end
   in
   go n
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
 let w_float b f = w_i64 b (Int64.bits_of_float f)
 let w_bool b v = w_u8 b (if v then 1 else 0)
@@ -74,7 +76,12 @@ let r_i64 r =
   r.pos <- r.pos + 8;
   v
 
-let r_int r = Int64.to_int (r_i64 r)
+(* not through [r_i64]: converting in place keeps the int64 unboxed *)
+let r_int r =
+  need r 8;
+  let v = Int64.to_int (String.get_int64_le r.src r.pos) in
+  r.pos <- r.pos + 8;
+  v
 
 let r_varint r =
   let rec go shift acc =
@@ -92,6 +99,16 @@ let r_raw r n =
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
+
+let r_raw_rstrip r n =
+  need r n;
+  let p = r.pos in
+  let e = ref (p + n) in
+  while !e > p && String.unsafe_get r.src (!e - 1) = ' ' do
+    decr e
+  done;
+  r.pos <- p + n;
+  String.sub r.src p (!e - p)
 
 let r_bytes r =
   let n = r_varint r in

@@ -24,6 +24,9 @@ val w_int : writer -> int -> unit
 (** [w_varint w n] writes a non-negative integer in LEB128 (1-10 bytes). *)
 val w_varint : writer -> int -> unit
 
+(** [varint_size n] is the number of bytes [w_varint] writes for [n]. *)
+val varint_size : int -> int
+
 val w_float : writer -> float -> unit
 val w_bool : writer -> bool -> unit
 
@@ -58,6 +61,10 @@ val r_float : reader -> float
 val r_bool : reader -> bool
 val r_bytes : reader -> string
 val r_raw : reader -> int -> string
+
+(** [r_raw_rstrip r n] consumes [n] bytes like [r_raw r n] but returns
+    them without trailing blanks, in one copy. *)
+val r_raw_rstrip : reader -> int -> string
 
 (** [pos r] is the current read offset. *)
 val pos : reader -> int

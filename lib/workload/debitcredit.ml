@@ -541,8 +541,7 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
           (fun acc t -> if undone t then min acc t.t_ready_at else acc)
           infinity terms
       in
-      Moncore.with_cat (Sim.moncore sim) Moncore.C_await (fun () ->
-          Sim.wait_until sim next);
+      Sim.wait_until ~cat:Moncore.C_await sim next;
       loop ()
     end
   in

@@ -181,19 +181,7 @@ let view_data cache decodes block =
   | Copy data -> data
   | _ -> Alcotest.fail "foreign view"
 
-(* Empty the pool one LRU victim at a time and report the order in which
-   blocks left it, coldest first. *)
-let lru_order cache =
-  let resident () = List.filter (Cache.resident cache) (List.init 256 Fun.id) in
-  let rec go acc =
-    match resident () with
-    | [] -> List.rev acc
-    | before ->
-        ignore (Cache.steal cache 1);
-        let after = resident () in
-        go (List.filter (fun b -> not (List.mem b after)) before @ acc)
-  in
-  go []
+let lru_order cache = List.rev (Cache.mru_order cache)
 
 (* The same access script through [read] and through [read_view] must
    leave identical counters, clock, LRU order and returned bytes. Each
@@ -262,6 +250,89 @@ let view_dropped_on_change () =
   Cache.drop_all cache;
   expect "after drop_all" 5 w
 
+(* --- the LRU ring ---------------------------------------------------------- *)
+
+type lru_op = Read of int | Write of int | Steal of int | Drop_all
+
+let pp_lru_op = function
+  | Read b -> Printf.sprintf "read %d" b
+  | Write b -> Printf.sprintf "write %d" b
+  | Steal n -> Printf.sprintf "steal %d" n
+  | Drop_all -> "drop_all"
+
+(* The sentinel ring against a list model, MRU first: a hit or a write to
+   a resident block moves it to the front, an insert into a full pool drops
+   the last block first, [steal n] drops the last [n]. *)
+let ring_matches_model =
+  let capacity = 8 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun b -> Read b) (int_bound 15));
+          (3, map (fun b -> Write b) (int_bound 15));
+          (1, map (fun n -> Steal n) (int_bound 4));
+          (1, return Drop_all);
+        ])
+  in
+  QCheck.Test.make ~name:"LRU ring walks like a list model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_lru_op ops))
+       QCheck.Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let _sim, _disk, cache, _log = setup ~capacity () in
+      let rec take n = function
+        | x :: rest when n > 0 -> x :: take (n - 1) rest
+        | _ -> []
+      in
+      let access b model =
+        if List.mem b model then b :: List.filter (( <> ) b) model
+        else b :: take (capacity - 1) model
+      in
+      let step model = function
+        | Read b ->
+            ignore (Cache.read cache b);
+            access b model
+        | Write b ->
+            Cache.write cache b (block_of cache 'w') ~lsn:1L;
+            access b model
+        | Steal n ->
+            ignore (Cache.steal cache n);
+            take (max 0 (List.length model - n)) model
+        | Drop_all ->
+            Cache.drop_all cache;
+            []
+      in
+      let _ =
+        List.fold_left
+          (fun model o ->
+            let model = step model o in
+            if Cache.mru_order cache <> model then
+              QCheck.Test.fail_reportf "after %s: ring [%s], model [%s]"
+                (pp_lru_op o)
+                (String.concat " " (List.map string_of_int (Cache.mru_order cache)))
+                (String.concat " " (List.map string_of_int model));
+            model)
+          [] ops
+      in
+      true)
+
+(* A hit on a resident block with no event due allocates only the boxed
+   float of its CPU charge. *)
+let hit_allocation () =
+  let _sim, _disk, cache, _log = setup () in
+  ignore (Cache.read cache 3);
+  ignore (Cache.read cache 4);
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Cache.read cache (3 + (i land 1)))
+  done;
+  let per_hit = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per hit, at most 4" per_hit)
+    true (per_hit <= 4.)
+
 let suite =
   [
     Alcotest.test_case "hit/miss counting" `Quick hit_miss_counting;
@@ -284,4 +355,6 @@ let suite =
       view_accounting_matches_read;
     Alcotest.test_case "view decoded again after write/evict/steal/crash"
       `Quick view_dropped_on_change;
+    QCheck_alcotest.to_alcotest ring_matches_model;
+    Alcotest.test_case "a hit allocates at most 4 words" `Quick hit_allocation;
   ]

@@ -44,6 +44,25 @@ let truncated_raises () =
   Alcotest.check_raises "truncated" Codec.Truncated (fun () ->
       ignore (Codec.r_u32 r))
 
+let raw_rstrip () =
+  let r = Codec.reader "ab c  |   |xyz" in
+  Alcotest.(check string) "trailing blanks dropped" "ab c" (Codec.r_raw_rstrip r 6);
+  Alcotest.(check int) "consumed the full width" 6 (Codec.pos r);
+  ignore (Codec.r_u8 r);
+  Alcotest.(check string) "all blanks" "" (Codec.r_raw_rstrip r 3);
+  ignore (Codec.r_u8 r);
+  Alcotest.(check string) "no blanks" "xyz" (Codec.r_raw_rstrip r 3);
+  Alcotest.check_raises "truncated" Codec.Truncated (fun () ->
+      ignore (Codec.r_raw_rstrip r 1))
+
+let varint_size_matches () =
+  List.iter
+    (fun n ->
+      let w = Codec.writer () in
+      Codec.w_varint w n;
+      Alcotest.(check int) (string_of_int n) (Codec.written w) (Codec.varint_size n))
+    [ 0; 1; 127; 128; 16383; 16384; 300_000; max_int ]
+
 let unread_restores () =
   let r = Codec.reader "abc" in
   ignore (Codec.r_u8 r);
@@ -153,6 +172,8 @@ let suite =
       roundtrip_strings;
     Alcotest.test_case "codec truncated read raises" `Quick truncated_raises;
     Alcotest.test_case "codec unread" `Quick unread_restores;
+    Alcotest.test_case "codec r_raw_rstrip" `Quick raw_rstrip;
+    Alcotest.test_case "codec varint_size" `Quick varint_size_matches;
     Alcotest.test_case "codec contents_padded" `Quick
       contents_padded_zero_fills;
     Alcotest.test_case "keycode sentinels" `Quick sentinels;

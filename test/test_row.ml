@@ -90,6 +90,17 @@ let char_padding_stripped () =
   | Row.Vstr s -> Alcotest.(check string) "padding stripped" "89" s
   | _ -> Alcotest.fail "wrong type")
 
+let decode_truncated () =
+  let img = Row.encode emp_schema sample in
+  let internal = function
+    | Error (Nsql_util.Errors.Internal _) -> true
+    | Ok _ | Error _ -> false
+  in
+  Alcotest.(check bool) "shorter than the null bitmap" true
+    (internal (Row.decode emp_schema ""));
+  Alcotest.(check bool) "cut inside a field" true
+    (internal (Row.decode emp_schema (String.sub img 0 5)))
+
 let value_gen =
   QCheck.Gen.(
     oneof
@@ -137,6 +148,34 @@ let roundtrip_random =
       | Ok row' -> Row.equal_row row row'
       | Error _ -> false)
 
+(* [values_size] must equal what [encode_values] writes; the strings
+   straddle the one/two-byte varint boundary and rows run past 127 fields *)
+let values_size_matches_encoding =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [
+        map (fun n -> String.make n 'x') (oneofl [ 0; 127; 128; 300 ]);
+        string_size (int_bound 20);
+      ]
+  in
+  let value =
+    frequency
+      [
+        (1, return Row.Null);
+        (1, map (fun b -> Row.Vbool b) bool);
+        (2, map (fun i -> Row.Vint i) int);
+        (1, map (fun f -> Row.Vfloat f) float);
+        (2, map (fun s -> Row.Vstr s) str);
+      ]
+  in
+  QCheck.Test.make ~name:"values_size equals the encoded length" ~count:300
+    (QCheck.make (array_size (oneof [ int_bound 10; int_range 120 140 ]) value))
+    (fun row ->
+      let w = Codec.writer () in
+      Row.encode_values w row;
+      Codec.written w = Row.values_size row)
+
 let suite =
   [
     Alcotest.test_case "record codec roundtrip" `Quick roundtrip;
@@ -147,6 +186,8 @@ let suite =
     Alcotest.test_case "projection" `Quick projection;
     Alcotest.test_case "field numbers" `Quick field_number;
     Alcotest.test_case "char padding stripped" `Quick char_padding_stripped;
+    Alcotest.test_case "decode rejects truncated images" `Quick decode_truncated;
     QCheck_alcotest.to_alcotest compare_total_order;
     QCheck_alcotest.to_alcotest roundtrip_random;
+    QCheck_alcotest.to_alcotest values_size_matches_encoding;
   ]

@@ -9,6 +9,8 @@ module Msg = Nsql_msg.Msg
 module Disk = Nsql_disk.Disk
 module Tracer = Nsql_sim.Tracer
 module Trace = Nsql_trace.Trace
+module Moncore = Nsql_sim.Moncore
+module Monitor = Nsql_monitor.Monitor
 
 let heap_orders () =
   let h = Heap.create () in
@@ -67,6 +69,124 @@ let event_schedules_event () =
       Sim.schedule sim ~at:20. (fun () -> incr fired));
   Sim.drain sim;
   Alcotest.(check int) "both fired" 2 !fired
+
+(* --- the clock's fast path ----------------------------------------------- *)
+
+(* What an event does when it fires. *)
+type handler = H_none | H_after of float | H_tick of int
+
+type step =
+  | Schedule of float * handler  (** at [now + offset]; may be in the past *)
+  | After of float * handler
+  | Tick of int
+  | Charge of Moncore.cat option * float
+  | Wait of Moncore.cat option * float  (** until [now + offset] *)
+  | Capture of step list
+  | Flush
+
+let rec pp_step = function
+  | Schedule (o, _) -> Printf.sprintf "schedule %+g" o
+  | After (d, _) -> Printf.sprintf "after %g" d
+  | Tick n -> Printf.sprintf "tick %d" n
+  | Charge (c, us) -> Printf.sprintf "charge%s %g" (if c = None then "" else " ~cat") us
+  | Wait (c, o) -> Printf.sprintf "wait%s %+g" (if c = None then "" else " ~cat") o
+  | Capture l -> "capture [" ^ String.concat "; " (List.map pp_step l) ^ "]"
+  | Flush -> "flush"
+
+let step_gen =
+  let open QCheck.Gen in
+  (* quarter-microsecond multiples, like every configured time constant *)
+  let quarters lo hi = map (fun k -> float_of_int k *. 0.25) (int_range lo hi) in
+  let handler =
+    frequency
+      [
+        (2, return H_none);
+        (1, map (fun d -> H_after d) (quarters 0 200));
+        (1, map (fun n -> H_tick n) (int_range 1 40));
+      ]
+  in
+  let cat = oneofl [ None; Some Moncore.C_disk; Some Moncore.C_msg; Some Moncore.C_await ] in
+  fix
+    (fun self depth ->
+      frequency
+        ([
+           (3, map2 (fun o h -> Schedule (o, h)) (quarters (-40) 400) handler);
+           (1, map2 (fun d h -> After (d, h)) (quarters 0 400) handler);
+           (3, map (fun n -> Tick n) (int_range 0 60));
+           (2, map2 (fun c us -> Charge (c, us)) cat (quarters 0 400));
+           (2, map2 (fun c o -> Wait (c, o)) cat (quarters (-40) 400));
+           (1, return Flush);
+         ]
+        @
+        if depth = 0 then []
+        else [ (1, map (fun l -> Capture l) (list_size (int_bound 5) (self (depth - 1)))) ]))
+    2
+
+(* Run a script and record, after every step, the clock and the events
+   fired so far with the clock each one saw. Outside captures it also
+   checks the queue invariant the fast path is documented against: no
+   pending event is earlier than [now]. *)
+let run_script ~monitoring script =
+  let sim = Sim.create () in
+  if monitoring then Monitor.set_enabled sim true;
+  let fired = ref [] and next_id = ref 0 and log = ref [] in
+  let fresh () =
+    incr next_id;
+    !next_id
+  in
+  let rec event h id () =
+    fired := (id, Sim.now sim) :: !fired;
+    match h with
+    | H_none -> ()
+    | H_after d -> Sim.after sim d (event H_none (fresh ()))
+    | H_tick n -> Sim.tick sim n
+  in
+  let rec exec = function
+    | Schedule (o, h) -> Sim.schedule sim ~at:(Sim.now sim +. o) (event h (fresh ()))
+    | After (d, h) -> Sim.after sim d (event h (fresh ()))
+    | Tick n -> Sim.tick sim n
+    | Charge (cat, us) -> Sim.charge ?cat sim us
+    | Wait (cat, o) -> Sim.wait_until ?cat sim (Sim.now sim +. o)
+    | Capture l ->
+        let (), elapsed = Sim.capture sim (fun () -> List.iter record l) in
+        log := `Elapsed elapsed :: !log
+    | Flush -> Sim.flush_events sim
+  and record step =
+    exec step;
+    if (not (Sim.in_capture sim))
+       && match Sim.next_event sim with Some due -> due < Sim.now sim | None -> false
+    then QCheck.Test.fail_reportf "after %s: an event is pending in the past" (pp_step step);
+    log := `Step (Sim.now sim, !fired) :: !log
+  in
+  List.iter record script;
+  Sim.drain sim;
+  log := `Step (Sim.now sim, !fired) :: !log;
+  List.rev !log
+
+let fast_path_equivalence =
+  QCheck.Test.make ~name:"clock fast path = monitored path, step by step" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map pp_step l))
+       QCheck.Gen.(list_size (int_bound 40) step_gen))
+    (fun script -> run_script ~monitoring:false script = run_script ~monitoring:true script)
+
+(* The clock's fast path: with monitoring off and no event due, a tick
+   only sets the clock. 4 words per call leaves room for one boxed float
+   at a call boundary the compiler does not inline. *)
+let tick_allocation () =
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1e12 ignore;
+  Sim.tick sim 1;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Sim.tick sim 1
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per tick, at most 4" per_call)
+    true (per_call <= 4.);
+  Alcotest.(check int) "ticks counted" (n + 1) (Sim.stats sim).Stats.cpu_ticks
 
 let measure_diffs () =
   let sim = Sim.create () in
@@ -196,6 +316,8 @@ let suite =
     Alcotest.test_case "events fire in order" `Quick events_fire_in_order;
     Alcotest.test_case "event schedules event" `Quick event_schedules_event;
     Alcotest.test_case "measure diffs stats" `Quick measure_diffs;
+    Alcotest.test_case "tick allocates at most 4 words" `Quick tick_allocation;
+    QCheck_alcotest.to_alcotest fast_path_equivalence;
     Alcotest.test_case "msg roundtrip and counters" `Quick
       msg_roundtrip_and_counters;
     Alcotest.test_case "msg distance costs" `Quick msg_local_vs_remote_cost;
