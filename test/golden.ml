@@ -178,6 +178,143 @@ let blocked_chains ~fanout () =
                  tags))
         dps)
 
+(* Scans over a mixed-type table whose nullable VARCHAR, CHAR, BOOL and
+   FLOAT columns sit ahead of the predicate column [late], so every
+   Disk Process scan walks (and skips) varying-width fields before the
+   one it filters on. Under the given access mode it runs SQL selections
+   on the late column and on IS NULL / IS NOT NULL, a pushed-down GROUP
+   BY on the key prefix, UPDATE and DELETE ... WHERE on the late column,
+   and File System scans whose projections reorder, duplicate and
+   overlap the predicate's columns, plus a direct aggregate. Small
+   requests force re-drives (and aggregate-state checkpoints) mid-scan.
+   Each rowset is recorded as its row count and digest, followed by the
+   full statistics vector and the final simulated clock. *)
+let mixed_scans ~access () =
+  let config = Config.v ~dp_records_per_request:40 () in
+  let node = N.create_node ~config ~volumes:2 () in
+  let s = N.session node in
+  ignore
+    (N.exec_exn s
+       "CREATE TABLE m (g INT NOT NULL, k INT NOT NULL, name VARCHAR(24) NOT \
+        NULL, note VARCHAR(40), code CHAR(6), flag BOOL, score FLOAT, late \
+        INT, PRIMARY KEY (g, k))");
+  let opt cond v = if cond then "NULL" else v in
+  for batch = 0 to 5 do
+    let values =
+      List.init 40 (fun j ->
+          let i = (batch * 40) + j in
+          Printf.sprintf "(%d, %d, '%s', %s, %s, %s, %s, %s)" (i / 60) i
+            ("n" ^ String.make (i mod 9) 'a' ^ string_of_int i)
+            (opt (i mod 3 = 0) (Printf.sprintf "'%s'" (String.make (i mod 31) 'x')))
+            (opt (i mod 5 = 0) (Printf.sprintf "'c%03d'" (i mod 1000)))
+            (opt (i mod 11 = 0) (if i mod 2 = 0 then "TRUE" else "FALSE"))
+            (opt (i mod 4 = 1) (Printf.sprintf "%d.5" i))
+            (opt (i mod 6 = 5) (string_of_int ((i * 37) mod 100))))
+    in
+    ignore (N.exec_exn s ("INSERT INTO m VALUES " ^ String.concat ", " values))
+  done;
+  let digest rows =
+    Printf.sprintf "%d rows %s" (List.length rows)
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n"
+               (List.map (Format.asprintf "%a" Nsql_row.Row.pp_row) rows))))
+  in
+  let outcome sql =
+    match N.exec s sql with
+    | Ok (N.Rows { rows; _ }) -> digest rows
+    | Ok r -> Format.asprintf "%a" N.pp_exec_result r
+    | Error e -> Errors.to_string e
+  in
+  N.set_access_mode s (match access with Fs.A_vsbb -> None | a -> Some a);
+  let sql =
+    List.map
+      (fun q -> q ^ ": " ^ outcome q)
+      [
+        "SELECT k, name, late FROM m WHERE late > 80";
+        "SELECT * FROM m WHERE note IS NULL AND late < 40";
+        "SELECT k, note, code FROM m WHERE score IS NOT NULL AND flag IS NULL";
+        "SELECT late, k, late, name FROM m WHERE late BETWEEN 10 AND 30";
+        "SELECT g, COUNT(*), SUM(late), MIN(name), MAX(score), AVG(late) FROM \
+         m WHERE late >= 20 GROUP BY g";
+        "SELECT COUNT(*), MIN(note), MAX(code) FROM m WHERE code IS NOT NULL";
+        "UPDATE m SET note = 'u', score = score + 1.0 WHERE late < 15";
+        "DELETE FROM m WHERE late > 90";
+        "SELECT * FROM m";
+      ]
+  in
+  let fs = N.fs node in
+  let tbl = get_ok ~ctx:"find" (N.Catalog.find (N.catalog node) "m") in
+  let file = tbl.N.Catalog.t_file in
+  let module Expr = Nsql_expr.Expr in
+  let scan ?pred ?proj () =
+    get_ok ~ctx:"scan"
+      (N.in_tx s (fun tx ->
+           let sc =
+             Fs.open_scan fs file ~tx ~access ~range:Expr.full_range ?pred ?proj
+               ~lock:Dp_msg.L_none ()
+           in
+           let rec drain acc =
+             match Fs.scan_next fs sc with
+             | Ok (Some r) -> drain (r :: acc)
+             | Ok None ->
+                 Fs.close_scan fs sc;
+                 Ok (List.rev acc)
+             | Error e ->
+                 Fs.close_scan fs sc;
+                 Error e
+           in
+           drain []))
+  in
+  let late_lt n = Expr.(Cmp (Lt, Field 7, int_ n)) in
+  let scans =
+    [
+      ("late<50 proj 7,0,7,2", scan ~pred:(late_lt 50) ~proj:[| 7; 0; 7; 2 |] ());
+      ( "note IS NULL proj 3,3,5",
+        scan ~pred:Expr.(Is_null (Field 3)) ~proj:[| 3; 3; 5 |] () );
+      ( "late IS NOT NULL and code<>'c007' proj 6,4",
+        scan
+          ~pred:Expr.(Not (Is_null (Field 7)) &&& Cmp (Ne, Field 4, str "c007"))
+          ~proj:[| 6; 4 |] () );
+      ("no pred proj 6,1", scan ~proj:[| 6; 1 |] ());
+      ("late<30 all columns", scan ~pred:(late_lt 30) ());
+    ]
+  in
+  let agg =
+    get_ok ~ctx:"aggregate"
+      (N.in_tx s (fun tx ->
+           Fs.aggregate fs file ~tx ~range:Expr.full_range
+             ~pred:Expr.(Not (Is_null (Field 3)))
+             ~group_keys:[| 0 |]
+             ~aggs:
+               Dp_msg.
+                 [
+                   { ag_kind = Agg_count_star; ag_arg = None };
+                   { ag_kind = Agg_sum; ag_arg = Some (Expr.Field 7) };
+                   { ag_kind = Agg_min; ag_arg = Some (Expr.Field 4) };
+                   { ag_kind = Agg_max; ag_arg = Some (Expr.Field 6) };
+                 ]
+             ~lock:Dp_msg.L_none ()))
+  in
+  let agg =
+    List.map
+      (fun (key_vals, accs) ->
+        Format.asprintf "%a %s" Nsql_row.Row.pp_row key_vals
+          (String.concat ","
+             (List.map
+                (fun a ->
+                  Format.asprintf "%d/%d/%h/%a/%a" a.Dp_msg.aa_count a.aa_sum_i
+                    a.aa_sum_f Nsql_row.Row.pp_value a.aa_min
+                    Nsql_row.Row.pp_value a.aa_max)
+                accs)))
+      agg
+  in
+  Sim.drain (N.sim node);
+  String.concat "\n"
+    (sql
+    @ List.map (fun (label, rows) -> label ^ ": " ^ digest rows) scans
+    @ [ "aggregate: " ^ String.concat " | " agg; fingerprint node ])
+
 let scenarios =
   [
     ("queries", fun () -> queries ());
@@ -199,6 +336,14 @@ let redrive_scenarios =
     ("indexed_pull", fun () -> indexed ~exec_batch:false ~fanout:true ());
     ("blocked_fanout", fun () -> blocked_chains ~fanout:true ());
     ("blocked_nofanout", fun () -> blocked_chains ~fanout:false ());
+  ]
+
+(* the Disk Process's column-subset decode: the mixed-type scans under
+   virtual and real sequential block buffering *)
+let column_scenarios =
+  [
+    ("mixed_vsbb", fun () -> mixed_scans ~access:Fs.A_vsbb ());
+    ("mixed_rsbb", fun () -> mixed_scans ~access:Fs.A_rsbb ());
   ]
 (* --- captured constants (regenerate with the PR-10 capture driver) --- *)
 
@@ -274,3 +419,50 @@ let redrive_goldens =
     golden_blocked_fanout;
     golden_blocked_nofanout;
   ]
+
+(* --- column-subset goldens: captured before the Disk Process scans
+   stopped decoding whole records --- *)
+
+let golden_mixed_vsbb =
+  String.concat "\n"
+    [
+      "SELECT k, name, late FROM m WHERE late > 80: 38 rows 61941874f90c1fc01508e02948dda393";
+      "SELECT * FROM m WHERE note IS NULL AND late < 40: 32 rows 6de3e6561c33ea8351740be1b50e959c";
+      "SELECT k, note, code FROM m WHERE score IS NOT NULL AND flag IS NULL: 17 rows 8f47c5464c803d6d8648b92fa1d6dbb6";
+      "SELECT late, k, late, name FROM m WHERE late BETWEEN 10 AND 30: 41 rows 8b8befa4eb24dc986892501730799562";
+      "SELECT g, COUNT(*), SUM(late), MIN(name), MAX(score), AVG(late) FROM m WHERE late >= 20 GROUP BY g: 4 rows f0799d9d22b065b4a37921d7847de5b7";
+      "SELECT COUNT(*), MIN(note), MAX(code) FROM m WHERE code IS NOT NULL: 1 rows 22e776f85d81bda198cebeb5972243f0";
+      "UPDATE m SET note = 'u', score = score + 1.0 WHERE late < 15: 31 row(s) affected";
+      "DELETE FROM m WHERE late > 90: 18 row(s) affected";
+      "SELECT * FROM m: 222 rows ab85811cce4f07b54b9a8647c826955c";
+      "late<50 proj 7,0,7,2: 100 rows e24f0b1a54b76987b78e027901dc985d";
+      "note IS NULL proj 3,3,5: 61 rows 0837e3400fc86a056514e9e7d7335f5c";
+      "late IS NOT NULL and code<>'c007' proj 6,4: 143 rows 2e7e0785cab08c5a89a8a2057d96c31e";
+      "no pred proj 6,1: 222 rows 758e383394320772e4e5d0f074ac9c25";
+      "late<30 all columns: 59 rows a7bac64e00232af1987cb1607888852e";
+      "aggregate: (0) 41/0/0x0p+0/NULL/NULL,31/1211/0x0p+0/0/84,31/0/0x0p+0/\"c001\"/\"c059\",30/0/0x1.cbp+9/1.5/59.5 | (1) 40/0/0x0p+0/NULL/NULL,30/1289/0x0p+0/0/90,32/0/0x0p+0/\"c061\"/\"c119\",30/0/0x1.5ap+11/64.5/119.5 | (2) 40/0/0x0p+0/NULL/NULL,30/1374/0x0p+0/2/90,31/0/0x0p+0/\"c121\"/\"c179\",29/0/0x1.1368p+12/123.5/179.5 | (3) 40/0/0x0p+0/NULL/NULL,30/1193/0x0p+0/0/88,33/0/0x0p+0/\"c182\"/\"c239\",31/0/0x1.98f8p+12/182.5/239.5";
+      "msgs_sent=336;msg_req_bytes=17924;msg_reply_bytes=36939;msgs_remote=336;msgs_internode=0;checkpoint_msgs=301;checkpoint_bytes=28230;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=14;bulk_reads=0;bulk_writes=6;prefetch_reads=0;writebehind_writes=0;cache_hits=8704;cache_misses=0;cache_steals=0;cpu_ticks=153641;lock_requests=289;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=318;audit_bytes=24965;audit_flushes=8;audit_flush_full=0;audit_flush_timer=8;group_commit_txs=8;tx_begun=21;tx_committed=21;tx_aborted=0;records_read=3474;records_returned=935;exec_batches=63;exec_rows=935;redrives=80;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1598587.500000";
+    ]
+
+let golden_mixed_rsbb =
+  String.concat "\n"
+    [
+      "SELECT k, name, late FROM m WHERE late > 80: 38 rows 61941874f90c1fc01508e02948dda393";
+      "SELECT * FROM m WHERE note IS NULL AND late < 40: 32 rows 6de3e6561c33ea8351740be1b50e959c";
+      "SELECT k, note, code FROM m WHERE score IS NOT NULL AND flag IS NULL: 17 rows 8f47c5464c803d6d8648b92fa1d6dbb6";
+      "SELECT late, k, late, name FROM m WHERE late BETWEEN 10 AND 30: 41 rows 8b8befa4eb24dc986892501730799562";
+      "SELECT g, COUNT(*), SUM(late), MIN(name), MAX(score), AVG(late) FROM m WHERE late >= 20 GROUP BY g: 4 rows f0799d9d22b065b4a37921d7847de5b7";
+      "SELECT COUNT(*), MIN(note), MAX(code) FROM m WHERE code IS NOT NULL: 1 rows 22e776f85d81bda198cebeb5972243f0";
+      "UPDATE m SET note = 'u', score = score + 1.0 WHERE late < 15: 31 row(s) affected";
+      "DELETE FROM m WHERE late > 90: 18 row(s) affected";
+      "SELECT * FROM m: 222 rows ab85811cce4f07b54b9a8647c826955c";
+      "late<50 proj 7,0,7,2: 100 rows e24f0b1a54b76987b78e027901dc985d";
+      "note IS NULL proj 3,3,5: 61 rows 0837e3400fc86a056514e9e7d7335f5c";
+      "late IS NOT NULL and code<>'c007' proj 6,4: 143 rows 2e7e0785cab08c5a89a8a2057d96c31e";
+      "no pred proj 6,1: 222 rows 758e383394320772e4e5d0f074ac9c25";
+      "late<30 all columns: 59 rows a7bac64e00232af1987cb1607888852e";
+      "aggregate: (0) 41/0/0x0p+0/NULL/NULL,31/1211/0x0p+0/0/84,31/0/0x0p+0/\"c001\"/\"c059\",30/0/0x1.cbp+9/1.5/59.5 | (1) 40/0/0x0p+0/NULL/NULL,30/1289/0x0p+0/0/90,32/0/0x0p+0/\"c061\"/\"c119\",30/0/0x1.5ap+11/64.5/119.5 | (2) 40/0/0x0p+0/NULL/NULL,30/1374/0x0p+0/2/90,31/0/0x0p+0/\"c121\"/\"c179\",29/0/0x1.1368p+12/123.5/179.5 | (3) 40/0/0x0p+0/NULL/NULL,30/1193/0x0p+0/0/88,33/0/0x0p+0/\"c182\"/\"c239\",31/0/0x1.98f8p+12/182.5/239.5";
+      "msgs_sent=369;msg_req_bytes=18427;msg_reply_bytes=202036;msgs_remote=369;msgs_internode=0;checkpoint_msgs=293;checkpoint_bytes=25375;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=14;bulk_reads=0;bulk_writes=6;prefetch_reads=0;writebehind_writes=0;cache_hits=8847;cache_misses=0;cache_steals=0;cpu_ticks=154706;lock_requests=289;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=318;audit_bytes=24965;audit_flushes=8;audit_flush_full=0;audit_flush_timer=8;group_commit_txs=8;tx_begun=21;tx_committed=21;tx_aborted=0;records_read=3474;records_returned=2772;exec_batches=107;exec_rows=1287;redrives=113;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1739025.000000";
+    ]
+
+let column_goldens = [ golden_mixed_vsbb; golden_mixed_rsbb ]

@@ -65,6 +65,17 @@ let redrive_golden_cases =
             expected (run ())))
     Golden.redrive_scenarios Golden.redrive_goldens
 
+(* the Disk Process's column-subset decode: rowsets, statistics and clock
+   of the mixed-type scans, captured while the scans decoded every column *)
+let column_golden_cases =
+  List.map2
+    (fun (name, run) expected ->
+      Alcotest.test_case (Printf.sprintf "golden: %s" name) `Quick (fun () ->
+          Alcotest.(check string)
+            (name ^ ": full-decode fingerprint reproduced")
+            expected (run ())))
+    Golden.column_scenarios Golden.column_goldens
+
 (* an explicit depth-1 config must be indistinguishable from the default *)
 let explicit_depth1_cases =
   [
@@ -401,7 +412,7 @@ let invalid_depth_rejected () =
       ignore (Disk.create sim ~name:"$DATA"))
 
 let suite =
-  golden_cases @ redrive_golden_cases @ explicit_depth1_cases
+  golden_cases @ redrive_golden_cases @ column_golden_cases @ explicit_depth1_cases
   @ [
       Alcotest.test_case "submit costs nothing, complete waits" `Quick
         submit_costs_nothing;
