@@ -751,6 +751,73 @@ let op_entry_read t ~file ~tx ~addr =
 
 (* --- set-oriented scans ---------------------------------------------------- *)
 
+(* The columns one scan request decodes into its scratch row: [examine]
+   from every record it examines (the predicate's fields), [select] from
+   each record it selects (a read scan's projection, or an aggregate's
+   group keys and arguments), less the predicate's fields, which are
+   already there. The write scans decode a selected record whole. *)
+type scan_cols = {
+  schema : Row.schema;
+  examine : Row.colset;
+  select : Row.colset;
+}
+
+(* Check every field number [body] names against [f]'s schema and build
+   the column sets of one request, once per request. [None] is a
+   schema-less file, which a scan may only read whole. *)
+let scan_columns f body =
+  (* [selected]: the fields read from a selected record; an update's
+     fields are only checked, since it decodes the record whole *)
+  let pred, selected, assigned =
+    match body with
+    | Scb_read { pred; proj; _ } ->
+        (pred, (match proj with Some p -> Array.to_list p | None -> []), [])
+    | Scb_agg { pred; group_keys; aggs; _ } ->
+        ( pred,
+          Array.to_list group_keys
+          @ List.concat_map
+              (fun a ->
+                match a.ag_arg with Some e -> Expr.fields e | None -> [])
+              aggs,
+          [] )
+    | Scb_update { pred; assignments } ->
+        ( pred,
+          [],
+          List.concat_map
+            (fun a -> a.Expr.target :: Expr.fields a.Expr.source)
+            assignments )
+    | Scb_delete { pred } -> (pred, [], [])
+  in
+  let pred_fields = match pred with Some p -> Expr.fields p | None -> [] in
+  let named = pred_fields @ selected @ assigned in
+  match f.f_schema with
+  | None ->
+      if named = [] then Ok None
+      else
+        Errors.fail
+          (Errors.Bad_request
+             (Printf.sprintf "file %s has no schema to name fields in" f.f_name))
+  | Some sch -> (
+      let ncols = Array.length sch.Row.cols in
+      match List.find_opt (fun i -> i < 0 || i >= ncols) named with
+      | Some i ->
+          Errors.fail
+            (Errors.Bad_request
+               (Printf.sprintf "field %d is not one of the %d fields of %s" i
+                  ncols f.f_name))
+      | None ->
+          Ok
+            (Some
+               {
+                 schema = sch;
+                 examine = Row.colset sch pred_fields;
+                 select =
+                   Row.colset sch
+                     (List.filter
+                        (fun i -> not (List.mem i pred_fields))
+                        selected);
+               }))
+
 let alloc_scb t scb =
   let id = t.next_scb in
   t.next_scb <- id + 1;
@@ -889,8 +956,12 @@ let scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
       Rp_blocked { blockers; processed = 0; last_key = from_key; scb = scb_id }
   | Ok () -> reply !last_key !more
 
-(* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. *)
-let run_read_scan t ~tx f scb scb_id ~from_key =
+(* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. The
+   predicate reads a scratch row that holds only the columns it names;
+   a selected record's projection is decoded into the same scratch and
+   copied out, and a [SELECT *] record is decoded whole into a fresh row,
+   so no reply row shares the scratch. *)
+let run_read_scan t ~tx f scb scb_id cols ~from_key =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let* b = btree_of f in
@@ -898,9 +969,14 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
   | Scb_update _ | Scb_delete _ | Scb_agg _ ->
       Errors.fail (Errors.Bad_request "SCB is not a read subset")
   | Scb_read { buffering; pred; proj; lock } ->
-      let schema = f.f_schema in
+      let scratch =
+        match cols with
+        | Some c -> Array.make (Array.length c.schema.Row.cols) Row.Null
+        | None -> [||]
+      in
       let reply_bytes = ref 0 in
-      let out = ref [] in
+      let rows = ref [] in
+      let entries = ref [] in
       let out_count = ref 0 in
       let first_block = ref (-1) in
       (* RSBB ships exactly one physical block per message *)
@@ -909,33 +985,31 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
         buffering = B_rsbb && blk <> !first_block
       in
       let visit key record =
-        let selected, row =
-          match (pred, schema) with
-          | None, _ -> (true, None)
-          | Some p, Some sch ->
-              let row = Row.decode_exn sch record in
+        let selected =
+          match (pred, cols) with
+          | None, _ -> true
+          | Some p, Some c ->
+              Row.decode_into_exn c.schema c.examine record scratch;
               Sim.tick t.sim (2 * Expr.size p);
-              (Expr.eval_pred row p, Some row)
-          | Some _, None -> (true, None)
+              Expr.eval_pred scratch p
+          | Some _, None ->
+              Errors.fatal "Dp.run_read_scan: predicate on a schema-less file"
         in
         if selected then begin
-          (match (buffering, proj, schema) with
-          | B_vsbb, Some fields, Some sch ->
+          (match (buffering, cols) with
+          | B_vsbb, Some c ->
               let row =
-                match row with Some r -> r | None -> Row.decode_exn sch record
-              in
-              let projected = Row.project row fields in
-              reply_bytes := !reply_bytes + Row.values_size projected;
-              out := `Row projected :: !out
-          | B_vsbb, None, Some sch ->
-              let row =
-                match row with Some r -> r | None -> Row.decode_exn sch record
+                match proj with
+                | Some fields ->
+                    Row.decode_into_exn c.schema c.select record scratch;
+                    Row.project scratch fields
+                | None -> Row.decode_exn c.schema record
               in
               reply_bytes := !reply_bytes + Row.values_size row;
-              out := `Row row :: !out
-          | B_vsbb, _, None | B_rsbb, _, _ ->
+              rows := row :: !rows
+          | B_vsbb, None | B_rsbb, _ ->
               reply_bytes := !reply_bytes + String.length key + String.length record;
-              out := `Entry (key, record) :: !out);
+              entries := (key, record) :: !entries);
           incr out_count;
           s.Stats.records_returned <- s.Stats.records_returned + 1;
           Sim.tick t.sim 10
@@ -945,20 +1019,21 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
       Ok
         (scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
            ~reply:(fun last_key more ->
-             let items = List.rev !out in
              if !out_count = 0 && not more then Rp_end
+             else if buffering = B_vsbb && cols <> None then
+               Rp_vblock { rows = List.rev !rows; last_key; more; scb = scb_id }
              else
-               let rows =
-                 List.filter_map (function `Row r -> Some r | `Entry _ -> None) items
-               in
-               let entries =
-                 List.filter_map
-                   (function `Entry e -> Some e | `Row _ -> None)
-                   items
-               in
-               if buffering = B_vsbb && f.f_schema <> None then
-                 Rp_vblock { rows; last_key; more; scb = scb_id }
-               else Rp_block { entries; last_key; more; scb = scb_id }))
+               Rp_block
+                 { entries = List.rev !entries; last_key; more; scb = scb_id }))
+
+(* Feed one selected row to each aggregate's accumulator; top-level so
+   the per-row call builds no closure. *)
+let rec feed_all row accs feeders =
+  match (accs, feeders) with
+  | acc :: accs, feed :: feeders ->
+      feed acc row;
+      feed_all row accs feeders
+  | _ -> ()
 
 (* One AGGREGATE^FIRST/AGGREGATE^NEXT execution: fold qualifying records
    into the SCB's per-group accumulators under the same re-drive budget
@@ -966,42 +1041,47 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
    (the partials stay in the SCB); the final reply ships every group's
    accumulator state in first-seen order — which is key order, because
    the scan is. *)
-let run_agg_scan t ~tx f scb scb_id ~from_key =
+let run_agg_scan t ~tx f scb scb_id cols ~from_key =
   let* b = btree_of f in
   match scb.scb_body with
   | Scb_read _ | Scb_update _ | Scb_delete _ ->
       Errors.fail (Errors.Bad_request "SCB is not an aggregate subset")
   | Scb_agg ({ pred; group_keys; aggs; lock; ag_groups; _ } as ag) ->
-      let* schema =
-        match f.f_schema with
-        | Some sch -> Ok sch
+      let* c =
+        match cols with
+        | Some c -> Ok c
         | None ->
             Errors.fail (Errors.Bad_request "AGGREGATE requires a SQL file")
       in
+      let scratch = Array.make (Array.length c.schema.Row.cols) Row.Null in
+      let feeders = List.map feeder aggs in
+      (* one writer per request encodes each selected record's group key *)
+      let w = Nsql_util.Codec.writer () in
       let visit _key record =
-        let row = Row.decode_exn schema record in
         let selected =
           match pred with
           | None -> true
           | Some p ->
+              Row.decode_into_exn c.schema c.examine record scratch;
               Sim.tick t.sim (2 * Expr.size p);
-              Expr.eval_pred row p
+              Expr.eval_pred scratch p
         in
         if selected then begin
-          let key_vals = Array.map (fun i -> row.(i)) group_keys in
-          let w = Nsql_util.Codec.writer () in
-          Row.encode_values w key_vals;
+          Row.decode_into_exn c.schema c.select record scratch;
+          Nsql_util.Codec.reset w;
+          Row.encode_fields w scratch group_keys;
           let gk = Nsql_util.Codec.contents w in
           let accs =
-            match Hashtbl.find_opt ag_groups gk with
-            | Some (_, accs) -> accs
-            | None ->
+            match Hashtbl.find ag_groups gk with
+            | _, accs -> accs
+            | exception Not_found ->
+                let key_vals = Row.project scratch group_keys in
                 let accs = List.map (fun _ -> fresh_acc ()) aggs in
                 Hashtbl.replace ag_groups gk (key_vals, accs);
                 ag.ag_order <- gk :: ag.ag_order;
                 accs
           in
-          List.iter2 (fun acc spec -> feed_spec acc spec row) accs aggs;
+          feed_all scratch accs feeders;
           Sim.tick t.sim 5
         end;
         false
@@ -1032,25 +1112,30 @@ let run_agg_scan t ~tx f scb scb_id ~from_key =
    request), so the re-drive retries the conflicting record. One update is
    applied per matched record; updated records are never revisited because
    the scan key always advances past them. *)
-let run_write_scan t ~tx f scb scb_id ~from_key ~inclusive =
+let run_write_scan t ~tx f scb scb_id cols ~from_key ~inclusive =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let* () = require_tx t tx in
   let* b = btree_of f in
-  let* schema =
-    match f.f_schema with
-    | Some sch -> Ok sch
+  let* c =
+    match cols with
+    | Some c -> Ok c
     | None -> Errors.fail (Errors.Bad_request "set update requires a SQL file")
   in
+  let schema = c.schema in
+  let scratch = Array.make (Array.length schema.Row.cols) Row.Null in
   let pred, action =
     match scb.scb_body with
     | Scb_update { pred; assignments } -> (pred, `Update assignments)
     | Scb_delete { pred } -> (pred, `Delete)
     | Scb_read _ | Scb_agg _ -> invalid_arg "Dp.run_write_scan: read SCB"
   in
-  let apply_one key record row =
+  (* the update needs the whole before-image, so a selected record is
+     decoded in full into a fresh row *)
+  let apply_one key record =
     match action with
     | `Update assignments ->
+        let row = Row.decode_exn schema record in
         let after_row = Expr.apply_assignments row assignments in
         Sim.tick t.sim
           (List.fold_left
@@ -1092,13 +1177,13 @@ let run_write_scan t ~tx f scb scb_id ~from_key ~inclusive =
           incr examined;
           s.Stats.records_read <- s.Stats.records_read + 1;
           Sim.tick t.sim 15;
-          let row = Row.decode_exn schema record in
           let selected =
             match pred with
             | None -> true
             | Some p ->
+                Row.decode_into_exn schema c.examine record scratch;
                 Sim.tick t.sim (2 * Expr.size p);
-                Expr.eval_pred row p
+                Expr.eval_pred scratch p
           in
           if selected then begin
             (* per-record exclusive lock for set mutations *)
@@ -1115,7 +1200,7 @@ let run_write_scan t ~tx f scb scb_id ~from_key ~inclusive =
                        });
                 continue_ := false
             | Ok () -> (
-                match apply_one key record row with
+                match apply_one key record with
                 | Ok () ->
                     incr processed;
                     last_done := key;
@@ -1356,18 +1441,22 @@ let dispatch t req : (reply, Errors.t) result =
   | R_entry_read { file; tx; addr } -> op_entry_read t ~file ~tx ~addr
   | R_get_first { file; tx; buffering; range; pred; proj; lock } ->
       let* f = find_file t file in
+      let scb_body = Scb_read { buffering; pred; proj; lock } in
+      let* cols = scan_columns f scb_body in
       let scb =
         {
           scb_file = file;
           scb_lo = range.Expr.lo;
           scb_hi = range.Expr.hi;
-          scb_body = Scb_read { buffering; pred; proj; lock };
+          scb_body;
           scb_prev_leaf = -10;
           scb_pf_hi = -1;
         }
       in
       let scb_id = alloc_scb t scb in
-      let* reply = run_read_scan t ~tx f scb scb_id ~from_key:range.Expr.lo in
+      let* reply =
+        run_read_scan t ~tx f scb scb_id cols ~from_key:range.Expr.lo
+      in
       drop_scb_when_done t reply;
       Ok reply
   | R_get_next { file; tx; scb; after_key } ->
@@ -1375,8 +1464,10 @@ let dispatch t req : (reply, Errors.t) result =
       s.Stats.redrives <- s.Stats.redrives + 1;
       let* f = find_file t file in
       let* scb_rec = find_scb t scb in
+      let* cols = scan_columns f scb_rec.scb_body in
       let* reply =
-        run_read_scan t ~tx f scb_rec scb ~from_key:(Keycode.successor after_key)
+        run_read_scan t ~tx f scb_rec scb cols
+          ~from_key:(Keycode.successor after_key)
       in
       drop_scb_when_done t reply;
       Ok reply
@@ -1397,19 +1488,22 @@ let dispatch t req : (reply, Errors.t) result =
             else Ok ()
         | None -> Ok ()
       in
+      let scb_body = Scb_update { pred; assignments } in
+      let* cols = scan_columns f scb_body in
       let scb =
         {
           scb_file = file;
           scb_lo = range.Expr.lo;
           scb_hi = range.Expr.hi;
-          scb_body = Scb_update { pred; assignments };
+          scb_body;
           scb_prev_leaf = -10;
           scb_pf_hi = -1;
         }
       in
       let scb_id = alloc_scb t scb in
       let* reply =
-        run_write_scan t ~tx f scb scb_id ~from_key:range.Expr.lo ~inclusive:true
+        run_write_scan t ~tx f scb scb_id cols ~from_key:range.Expr.lo
+          ~inclusive:true
       in
       drop_scb_when_done t reply;
       Ok reply
@@ -1418,26 +1512,30 @@ let dispatch t req : (reply, Errors.t) result =
       s.Stats.redrives <- s.Stats.redrives + 1;
       let* f = find_file t file in
       let* scb_rec = find_scb t scb in
+      let* cols = scan_columns f scb_rec.scb_body in
       let inclusive = String.equal after_key "" in
       let from_key = if inclusive then scb_rec.scb_lo else after_key in
-      let* reply = run_write_scan t ~tx f scb_rec scb ~from_key ~inclusive in
+      let* reply = run_write_scan t ~tx f scb_rec scb cols ~from_key ~inclusive in
       drop_scb_when_done t reply;
       Ok reply
   | R_delete_subset_first { file; tx; range; pred } ->
       let* f = find_file t file in
+      let scb_body = Scb_delete { pred } in
+      let* cols = scan_columns f scb_body in
       let scb =
         {
           scb_file = file;
           scb_lo = range.Expr.lo;
           scb_hi = range.Expr.hi;
-          scb_body = Scb_delete { pred };
+          scb_body;
           scb_prev_leaf = -10;
           scb_pf_hi = -1;
         }
       in
       let scb_id = alloc_scb t scb in
       let* reply =
-        run_write_scan t ~tx f scb scb_id ~from_key:range.Expr.lo ~inclusive:true
+        run_write_scan t ~tx f scb scb_id cols ~from_key:range.Expr.lo
+          ~inclusive:true
       in
       drop_scb_when_done t reply;
       Ok reply
@@ -1446,9 +1544,10 @@ let dispatch t req : (reply, Errors.t) result =
       s.Stats.redrives <- s.Stats.redrives + 1;
       let* f = find_file t file in
       let* scb_rec = find_scb t scb in
+      let* cols = scan_columns f scb_rec.scb_body in
       let inclusive = String.equal after_key "" in
       let from_key = if inclusive then scb_rec.scb_lo else after_key in
-      let* reply = run_write_scan t ~tx f scb_rec scb ~from_key ~inclusive in
+      let* reply = run_write_scan t ~tx f scb_rec scb cols ~from_key ~inclusive in
       drop_scb_when_done t reply;
       Ok reply
   | R_insert_row { file; tx; row } -> op_insert_row t ~file ~tx ~row
@@ -1462,27 +1561,32 @@ let dispatch t req : (reply, Errors.t) result =
       Ok Rp_ok
   | R_agg_first { file; tx; range; pred; group_keys; aggs; lock } ->
       let* f = find_file t file in
+      let scb_body =
+        Scb_agg
+          {
+            pred;
+            group_keys;
+            aggs;
+            lock;
+            ag_groups = Hashtbl.create 16;
+            ag_order = [];
+          }
+      in
+      let* cols = scan_columns f scb_body in
       let scb =
         {
           scb_file = file;
           scb_lo = range.Expr.lo;
           scb_hi = range.Expr.hi;
-          scb_body =
-            Scb_agg
-              {
-                pred;
-                group_keys;
-                aggs;
-                lock;
-                ag_groups = Hashtbl.create 16;
-                ag_order = [];
-              };
+          scb_body;
           scb_prev_leaf = -10;
           scb_pf_hi = -1;
         }
       in
       let scb_id = alloc_scb t scb in
-      let* reply = run_agg_scan t ~tx f scb scb_id ~from_key:range.Expr.lo in
+      let* reply =
+        run_agg_scan t ~tx f scb scb_id cols ~from_key:range.Expr.lo
+      in
       ckpt_agg_progress t scb_id scb reply;
       drop_scb_when_done t reply;
       Ok reply
@@ -1491,8 +1595,10 @@ let dispatch t req : (reply, Errors.t) result =
       s.Stats.redrives <- s.Stats.redrives + 1;
       let* f = find_file t file in
       let* scb_rec = find_scb t scb in
+      let* cols = scan_columns f scb_rec.scb_body in
       let* reply =
-        run_agg_scan t ~tx f scb_rec scb ~from_key:(Keycode.successor after_key)
+        run_agg_scan t ~tx f scb_rec scb cols
+          ~from_key:(Keycode.successor after_key)
       in
       ckpt_agg_progress t scb scb_rec reply;
       drop_scb_when_done t reply;

@@ -202,25 +202,72 @@ let decode_field r ty =
   | T_char n -> Vstr (Codec.r_raw_rstrip r n)
   | T_varchar _ -> Vstr (Codec.r_bytes r)
 
+let skip_field r ty =
+  match ty with
+  | T_int | T_float -> Codec.skip r 8
+  | T_bool -> Codec.skip r 1
+  | T_char n -> Codec.skip r n
+  | T_varchar _ -> Codec.skip r (Codec.r_varint r)
+
+type colset = All | Cols of { wanted : bool array; last : int }
+
+let no_cols = Cols { wanted = [||]; last = -1 }
+
+let colset s fields =
+  let n = Array.length s.cols in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= n then
+        invalid_arg (Printf.sprintf "Row.colset: no field %d in %d columns" i n))
+    fields;
+  match fields with
+  | [] -> no_cols
+  | _ :: _ ->
+      let last = List.fold_left max (-1) fields in
+      let wanted = Array.make (last + 1) false in
+      List.iter (fun i -> wanted.(i) <- true) fields;
+      Cols { wanted; last }
+
 let truncated () = fail (Internal "Row.decode: truncated record image")
 
-(* The null bitmap is read in place from the record image; fields follow
-   it. *)
-let decode s bytes_ =
+let is_null img i =
+  Char.code (String.unsafe_get img (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* The one field loop. The null bitmap is read in place from the record
+   image and fields follow it; a null field has no bytes. The loop walks
+   the fields up to the last wanted column, writing each wanted one into
+   [row] and skipping the others, so an unwanted string is never built.
+   A wanted null field must be written as [Null]: [row] may be a scratch
+   row that still holds the previous record's value. *)
+let decode_into s cs img row =
   let cols = s.cols in
   let n = Array.length cols in
   let nbytes = (n + 7) / 8 in
-  if String.length bytes_ < nbytes then truncated ()
-  else
-    try
-      let r = Codec.reader ~pos:nbytes bytes_ in
-      let row = Array.make n Null in
-      for i = 0 to n - 1 do
-        if Char.code (String.unsafe_get bytes_ (i lsr 3)) land (1 lsl (i land 7)) = 0
-        then row.(i) <- decode_field r cols.(i).col_type
-      done;
-      Ok row
-    with Codec.Truncated -> truncated ()
+  let last = match cs with All -> n - 1 | Cols c -> c.last in
+  try
+    (* skipping the bitmap checks that the image holds it, and avoids
+       the option [Codec.reader ~pos] would allocate *)
+    let r = Codec.reader img in
+    Codec.skip r nbytes;
+    for i = 0 to last do
+      let wanted = match cs with All -> true | Cols c -> c.wanted.(i) in
+      if wanted then begin
+        if is_null img i then row.(i) <- Null
+        else row.(i) <- decode_field r cols.(i).col_type
+      end
+      else if not (is_null img i) then skip_field r cols.(i).col_type
+    done;
+    Ok ()
+  with Codec.Truncated -> truncated ()
+
+let decode_into_exn s cs img row =
+  match decode_into s cs img row with
+  | Ok () -> ()
+  | Error e -> failwith ("Row.decode_into_exn: " ^ Errors.to_string e)
+
+let decode s img =
+  let row = Array.make (Array.length s.cols) Null in
+  match decode_into s All img row with Ok () -> Ok row | Error e -> Error e
 
 let decode_exn s bytes_ =
   match decode s bytes_ with
@@ -301,6 +348,12 @@ let decode_schema r =
 let encode_values w row =
   Codec.w_varint w (Array.length row);
   Array.iter (fun v -> encode_value w v) row
+
+let encode_fields w row fields =
+  Codec.w_varint w (Array.length fields);
+  for j = 0 to Array.length fields - 1 do
+    encode_value w row.(fields.(j))
+  done
 
 let value_size = function
   | Null -> 1

@@ -66,11 +66,37 @@ val validate : schema -> row -> (unit, Nsql_util.Errors.t) result
     followed by the fields in order. *)
 val encode : schema -> row -> string
 
-(** [decode s bytes] parses a record image. *)
+(** [decode s bytes] parses a record image into a fresh row: the
+    all-columns case of {!decode_into}. *)
 val decode : schema -> string -> (row, Nsql_util.Errors.t) result
 
 (** [decode_exn s bytes] is [decode] for trusted (self-written) images. *)
 val decode_exn : schema -> string -> row
+
+(** {2 Column subsets}
+
+    A scan that reads a few columns of each record decodes only those,
+    into a row it reuses from record to record. *)
+
+(** A set of field numbers of one schema. *)
+type colset
+
+(** [colset s fields] is the set of [fields] (duplicates allowed). Raises
+    [Invalid_argument] if a field number is not a column of [s]. *)
+val colset : schema -> int list -> colset
+
+(** [decode_into s cs bytes row] writes each column of [cs] into
+    [row.(i)] — [Null] for a null field — and leaves every other entry of
+    [row] as it was. It walks the image only up to the last column of
+    [cs], skipping unwanted fields without building their values. [row]
+    must have a slot per column of [s], and [cs] must come from [s]. A
+    truncated image is an [Internal] error when the walk reaches the cut
+    (always when the cut is inside the null bitmap). *)
+val decode_into :
+  schema -> colset -> string -> row -> (unit, Nsql_util.Errors.t) result
+
+(** [decode_into_exn] is {!decode_into} for trusted images. *)
+val decode_into_exn : schema -> colset -> string -> row -> unit
 
 (** [encoded_size s row] is [String.length (encode s row)] without building
     the string. *)
@@ -93,6 +119,11 @@ val decode_schema : Nsql_util.Codec.reader -> schema
 
 val encode_values : Nsql_util.Codec.writer -> row -> unit
 val decode_values : Nsql_util.Codec.reader -> row
+
+(** [encode_fields w row fields] writes the bytes
+    [encode_values w (project row fields)] writes, without building the
+    projection. *)
+val encode_fields : Nsql_util.Codec.writer -> row -> int array -> unit
 
 (** [values_size row] is the number of bytes [encode_values] writes for
     [row], computed without encoding it. *)

@@ -18,16 +18,18 @@ let w_u32 b v =
 let w_i64 b v = Buffer.add_int64_le b v
 let w_int b v = Buffer.add_int64_le b (Int64.of_int v)
 
+(* top-level, not a local closure over [b]: writing a varint allocates
+   nothing *)
+let rec w_varint_loop b n =
+  if n < 0x80 then w_u8 b n
+  else begin
+    w_u8 b (0x80 lor (n land 0x7f));
+    w_varint_loop b (n lsr 7)
+  end
+
 let w_varint b n =
   if n < 0 then invalid_arg "Codec.w_varint: negative";
-  let rec go n =
-    if n < 0x80 then w_u8 b n
-    else begin
-      w_u8 b (0x80 lor (n land 0x7f));
-      go (n lsr 7)
-    end
-  in
-  go n
+  w_varint_loop b n
 
 let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
@@ -42,6 +44,7 @@ let w_bytes b s =
 
 let written = Buffer.length
 let contents = Buffer.contents
+let reset = Buffer.clear
 
 let contents_padded b n =
   let out = Bytes.make n '\x00' in
@@ -83,13 +86,14 @@ let r_int r =
   r.pos <- r.pos + 8;
   v
 
-let r_varint r =
-  let rec go shift acc =
-    let b = r_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* top-level, not a local closure over [r]: reading a varint allocates
+   nothing *)
+let rec r_varint_loop r shift acc =
+  let b = r_u8 r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else r_varint_loop r (shift + 7) acc
+
+let r_varint r = r_varint_loop r 0 0
 
 let r_float r = Int64.float_of_bits (r_i64 r)
 let r_bool r = r_u8 r <> 0
@@ -113,6 +117,11 @@ let r_raw_rstrip r n =
 let r_bytes r =
   let n = r_varint r in
   r_raw r n
+
+let skip r n =
+  if n < 0 then raise Truncated;
+  need r n;
+  r.pos <- r.pos + n
 
 let unread r n =
   if n > r.pos then invalid_arg "Codec.unread";

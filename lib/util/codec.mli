@@ -39,6 +39,10 @@ val w_raw : writer -> string -> unit
 val written : writer -> int
 val contents : writer -> string
 
+(** [reset w] empties [w] and keeps its buffer, so one writer can encode
+    many short values in turn. *)
+val reset : writer -> unit
+
 (** [contents_padded w n] is the written bytes followed by zero bytes up to
     exactly [n] bytes, built in one [n]-byte allocation. Raises
     [Invalid_argument] if more than [n] bytes were written. *)
@@ -65,6 +69,11 @@ val r_raw : reader -> int -> string
 (** [r_raw_rstrip r n] consumes [n] bytes like [r_raw r n] but returns
     them without trailing blanks, in one copy. *)
 val r_raw_rstrip : reader -> int -> string
+
+(** [skip r n] moves past [n] bytes without reading them. Raises
+    {!Truncated} if fewer than [n] remain or [n] is negative (a corrupt
+    length). *)
+val skip : reader -> int -> unit
 
 (** [pos r] is the current read offset. *)
 val pos : reader -> int

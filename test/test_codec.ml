@@ -70,6 +70,27 @@ let unread_restores () =
   Codec.unread r 1;
   Alcotest.(check int) "re-read" (Char.code 'b') (Codec.r_u8 r)
 
+let skip_moves () =
+  let r = Codec.reader "abcdef" in
+  Codec.skip r 2;
+  Alcotest.(check int) "skipped two" (Char.code 'c') (Codec.r_u8 r);
+  Codec.skip r 3;
+  Alcotest.(check bool) "drained" true (Codec.at_end r);
+  Alcotest.check_raises "past the end" Codec.Truncated (fun () -> Codec.skip r 1);
+  Alcotest.check_raises "negative length" Codec.Truncated (fun () ->
+      Codec.skip (Codec.reader "ab") (-1))
+
+let reset_reuses () =
+  let w = Codec.writer () in
+  Codec.w_bytes w "first";
+  Codec.reset w;
+  Alcotest.(check int) "empty after reset" 0 (Codec.written w);
+  Codec.w_varint w 300;
+  let fresh = Codec.writer () in
+  Codec.w_varint fresh 300;
+  Alcotest.(check string) "same bytes as a fresh writer" (Codec.contents fresh)
+    (Codec.contents w)
+
 (* --- keycode ---------------------------------------------------------- *)
 
 let int_order =
@@ -172,6 +193,8 @@ let suite =
       roundtrip_strings;
     Alcotest.test_case "codec truncated read raises" `Quick truncated_raises;
     Alcotest.test_case "codec unread" `Quick unread_restores;
+    Alcotest.test_case "codec skip" `Quick skip_moves;
+    Alcotest.test_case "codec reset" `Quick reset_reuses;
     Alcotest.test_case "codec r_raw_rstrip" `Quick raw_rstrip;
     Alcotest.test_case "codec varint_size" `Quick varint_size_matches;
     Alcotest.test_case "codec contents_padded" `Quick

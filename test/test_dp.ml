@@ -575,3 +575,118 @@ let suite =
       Alcotest.test_case "crash flushes wait queue" `Quick
         crash_flushes_wait_queue;
     ]
+
+(* A field number the file does not have is a malformed request: the Disk
+   Process refuses it with [Bad_request] when it opens the subset, for
+   every expression the subset carries, instead of raising. So is a
+   predicate or projection on a file without a schema, which has no
+   fields to name. *)
+let is_bad_request what = function
+  | Error (Errors.Bad_request _) -> ()
+  | Ok _ -> Alcotest.fail (what ^ ": accepted")
+  | Error e -> Alcotest.fail (what ^ ": " ^ Errors.to_string e)
+
+(* open a VSBB scan and pull its first item with [next] (a row, or a
+   raw entry of a schema-less file), then abort *)
+let first_item ~next n file ?pred ?proj () =
+  let tx = Tmf.begin_tx n.tmf in
+  let sc =
+    Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range ?pred ?proj
+      ~lock:Dp_msg.L_none ()
+  in
+  let r = next n.fs sc in
+  Fs.close_scan n.fs sc;
+  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
+  r
+
+let first_row = first_item ~next:Fs.scan_next
+
+let in_aborted_tx n f =
+  let tx = Tmf.begin_tx n.tmf in
+  let r = f tx in
+  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
+  r
+
+let out_of_range_fields_rejected () =
+  let n, file = setup_with_file () in
+  load_accounts n file 10;
+  let field99 = Expr.(Cmp (Eq, Field 99, int_ 1)) in
+  is_bad_request "predicate field 99" (first_row n file ~pred:field99 ());
+  is_bad_request "projection field 99" (first_row n file ~proj:[| 0; 99 |] ());
+  let agg ?(group_keys = [| 0 |]) ?pred arg =
+    in_aborted_tx n (fun tx ->
+        Fs.aggregate n.fs file ~tx ~range:full_range ?pred ~group_keys
+          ~aggs:[ { Dp_msg.ag_kind = Dp_msg.Agg_sum; ag_arg = Some arg } ]
+          ~lock:Dp_msg.L_none ())
+  in
+  is_bad_request "aggregate argument field 99" (agg (Expr.Field 99));
+  is_bad_request "aggregate predicate field 99" (agg ~pred:field99 (Expr.Field 1));
+  is_bad_request "aggregate group key field 99"
+    (agg ~group_keys:[| 99 |] (Expr.Field 1));
+  let update assignments =
+    in_aborted_tx n (fun tx ->
+        Fs.update_subset n.fs file ~tx ~range:full_range assignments)
+  in
+  is_bad_request "assignment target 99"
+    (update [ { Expr.target = 99; source = Expr.float_ 1. } ]);
+  is_bad_request "assignment source field 99"
+    (update [ { Expr.target = 1; source = Expr.Field 99 } ]);
+  is_bad_request "update predicate field 99"
+    (in_aborted_tx n (fun tx ->
+         Fs.update_subset n.fs file ~tx ~range:full_range ~pred:field99
+           [ { Expr.target = 1; source = Expr.float_ 1. } ]));
+  is_bad_request "delete predicate field 99"
+    (in_aborted_tx n (fun tx ->
+         Fs.delete_subset n.fs file ~tx ~range:full_range ~pred:field99 ()));
+  (* the file is untouched and still scans *)
+  Alcotest.(check int) "rows intact" 10
+    (List.length
+       (in_tx n (fun tx ->
+            let sc =
+              Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range
+                ~lock:Dp_msg.L_none ()
+            in
+            Ok (drain_scan n sc))))
+
+let schema_less_fields_rejected () =
+  let n = node () in
+  let file =
+    get_ok ~ctx:"create"
+      (Fs.create_enscribe_file n.fs ~fname:"RAW" ~kind:Dp_msg.K_key_sequenced
+         ~partitions:[ Fs.{ ps_lo = ""; ps_dp = n.dps.(0) } ])
+  in
+  in_tx n (fun tx -> Fs.insert n.fs file ~tx ~key:(acct_key 1) ~record:"r1");
+  let first_entry = first_item ~next:Fs.scan_next_entry in
+  is_bad_request "predicate on a schema-less file"
+    (first_entry n file ~pred:Expr.(Cmp (Eq, Field 0, int_ 1)) ());
+  is_bad_request "projection on a schema-less file"
+    (first_entry n file ~proj:[| 0 |] ());
+  (* a whole-record scan of the same file still works *)
+  let entries =
+    in_tx n (fun tx ->
+        let sc =
+          Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range
+            ~lock:Dp_msg.L_none ()
+        in
+        let rec go acc =
+          match Fs.scan_next_entry n.fs sc with
+          | Ok (Some (_, record)) -> go (record :: acc)
+          | Ok None ->
+              Fs.close_scan n.fs sc;
+              Ok (List.rev acc)
+          | Error e ->
+              Fs.close_scan n.fs sc;
+              Error e
+        in
+        go [])
+  in
+  Alcotest.(check (list string)) "whole records" [ "r1" ] entries
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "out-of-range field numbers rejected" `Quick
+        out_of_range_fields_rejected;
+      Alcotest.test_case "fields on a schema-less file rejected" `Quick
+        schema_less_fields_rejected;
+    ]

@@ -72,7 +72,13 @@ let projection () =
   Alcotest.(check bool) "projected" true
     (Row.equal_row [| Row.Vstr "Borr"; Row.Vstr "1988-06-01" |] proj);
   let ps = Row.projected_schema emp_schema [| 1; 2 |] in
-  Alcotest.(check int) "projected schema arity" 2 (Array.length ps.Row.cols)
+  Alcotest.(check int) "projected schema arity" 2 (Array.length ps.Row.cols);
+  let fields = [| 4; 0; 4 |] in
+  let direct = Codec.writer () and via = Codec.writer () in
+  Row.encode_fields direct sample fields;
+  Row.encode_values via (Row.project sample fields);
+  Alcotest.(check string) "encode_fields = encode_values of the projection"
+    (Codec.contents via) (Codec.contents direct)
 
 let field_number () =
   (match Row.field_number emp_schema "salary" with
@@ -176,6 +182,147 @@ let values_size_matches_encoding =
       Row.encode_values w row;
       Codec.written w = Row.values_size row)
 
+(* --- column-subset decode ------------------------------------------------ *)
+
+(* a random schema (column 0 is the INT key; the rest mix every type,
+   nullable or not), a row for it, and a list of wanted field numbers
+   with repeats *)
+let colset_case_gen =
+  let open QCheck.Gen in
+  let col_type =
+    oneof
+      [
+        return Row.T_int;
+        return Row.T_float;
+        return Row.T_bool;
+        map (fun n -> Row.T_char n) (int_range 1 8);
+        map (fun n -> Row.T_varchar n) (int_range 0 200);
+      ]
+  in
+  let value_of = function
+    | Row.T_int -> map (fun i -> Row.Vint i) int
+    | Row.T_float -> map (fun f -> Row.Vfloat f) float
+    | Row.T_bool -> map (fun b -> Row.Vbool b) bool
+    | Row.T_char n | Row.T_varchar n ->
+        map (fun s -> Row.Vstr s) (string_size ~gen:printable (int_bound n))
+  in
+  int_range 1 20 >>= fun n ->
+  list_repeat (n - 1) (pair col_type bool) >>= fun rest ->
+  let cols =
+    Array.of_list
+      (Row.column "c0" Row.T_int
+      :: List.mapi
+           (fun i (ty, nullable) ->
+             Row.column ~nullable (Printf.sprintf "c%d" (i + 1)) ty)
+           rest)
+  in
+  let schema = Row.schema cols ~key:[ "c0" ] in
+  flatten_a
+    (Array.map
+       (fun c ->
+         if c.Row.nullable then
+           frequency [ (1, return Row.Null); (2, value_of c.Row.col_type) ]
+         else value_of c.Row.col_type)
+       cols)
+  >>= fun row ->
+  list_size (int_bound 6) (int_bound (n - 1)) >>= fun fields ->
+  int_bound 1000 >|= fun cut -> (schema, row, fields, cut)
+
+(* byte offset just past field [i] in the image of [row] *)
+let field_end schema row i =
+  let nbytes = (Array.length schema.Row.cols + 7) / 8 in
+  let size j =
+    match (row.(j), schema.Row.cols.(j).Row.col_type) with
+    | Row.Null, _ -> 0
+    | _, (Row.T_int | Row.T_float) -> 8
+    | _, Row.T_bool -> 1
+    | _, Row.T_char n -> n
+    | Row.Vstr s, Row.T_varchar _ ->
+        Codec.varint_size (String.length s) + String.length s
+    | _, Row.T_varchar _ -> assert false
+  in
+  let e = ref nbytes in
+  for j = 0 to i do
+    e := !e + size j
+  done;
+  !e
+
+(* the scratch starts full of garbage; every wanted column must come out
+   as the full decode has it (a null one as [Null], never garbage) and
+   every other entry must be left alone. A truncated image must fail
+   exactly when the cut lies before the end of the last wanted column
+   (or inside the null bitmap). *)
+let decode_into_matches_decode =
+  QCheck.Test.make ~name:"decode_into = decode on the wanted columns" ~count:500
+    (QCheck.make colset_case_gen)
+    (fun (schema, row, fields, cut) ->
+      let img = Row.encode schema row in
+      let full = Row.decode_exn schema img in
+      let cs = Row.colset schema fields in
+      let garbage = Row.Vstr "stale" in
+      let scratch = Array.make (Array.length row) garbage in
+      let decoded_ok =
+        match Row.decode_into schema cs img scratch with
+        | Ok () -> true
+        | Error _ -> false
+      in
+      let wanted i = List.mem i fields in
+      let columns_ok =
+        List.for_all
+          (fun i ->
+            if wanted i then Row.equal_value scratch.(i) full.(i)
+            else scratch.(i) == garbage)
+          (List.init (Array.length row) Fun.id)
+      in
+      let cut = cut mod (String.length img + 1) in
+      let last = List.fold_left max (-1) fields in
+      let must_fail = cut < field_end schema row last in
+      let failed =
+        match
+          Row.decode_into schema cs (String.sub img 0 cut)
+            (Array.make (Array.length row) garbage)
+        with
+        | Ok () -> false
+        | Error (Nsql_util.Errors.Internal _) -> true
+        | Error _ -> false
+      in
+      decoded_ok && columns_ok && failed = must_fail)
+
+(* A Wisconsin-shaped record: 13 INT columns, then three CHAR(52). *)
+let wisc_schema =
+  Row.schema
+    (Array.init 16 (fun i ->
+         Row.column (Printf.sprintf "c%d" i)
+           (if i < 13 then Row.T_int else Row.T_char 52)))
+    ~key:[ "c0" ]
+
+let wisc_row =
+  Array.init 16 (fun i ->
+      if i < 13 then Row.Vint (i * 7919) else Row.Vstr (String.make 20 'x'))
+
+(* Decoding one INT column of a Wisconsin record into a scratch row
+   allocates the reader and the value, and nothing per skipped column:
+   at most 8 words a record. *)
+let one_column_allocation () =
+  let img = Row.encode wisc_schema wisc_row in
+  let scratch = Array.make 16 Row.Null in
+  List.iter
+    (fun field ->
+      let cs = Row.colset wisc_schema [ field ] in
+      let n = 10_000 in
+      Row.decode_into_exn wisc_schema cs img scratch;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Row.decode_into_exn wisc_schema cs img scratch
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "field %d: %.2f words per record <= 8" field words)
+        true (words <= 8.);
+      Alcotest.(check bool) "decoded" true
+        (Row.equal_value scratch.(field) wisc_row.(field)))
+    [ 0; 12 ]
+
 let suite =
   [
     Alcotest.test_case "record codec roundtrip" `Quick roundtrip;
@@ -190,4 +337,7 @@ let suite =
     QCheck_alcotest.to_alcotest compare_total_order;
     QCheck_alcotest.to_alcotest roundtrip_random;
     QCheck_alcotest.to_alcotest values_size_matches_encoding;
+    QCheck_alcotest.to_alcotest decode_into_matches_decode;
+    Alcotest.test_case "one-column decode allocation" `Quick
+      one_column_allocation;
   ]
