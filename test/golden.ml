@@ -34,6 +34,14 @@ let fingerprint_of ~stats ~now =
 let fingerprint node =
   fingerprint_of ~stats:(N.snapshot node) ~now:(Sim.now (N.sim node))
 
+(* a rowset as its row count and the MD5 of its printed rows *)
+let digest rows =
+  Printf.sprintf "%d rows %s" (List.length rows)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.map (Format.asprintf "%a" Nsql_row.Row.pp_row) rows))))
+
 (* the test_monitor Wisconsin mini-suite: selections, aggregates, a join
    and DML over a partitioned table — scans, prefetch, bulk I/O, audit *)
 let queries ?config ?access () =
@@ -213,13 +221,6 @@ let mixed_scans ~access () =
     in
     ignore (N.exec_exn s ("INSERT INTO m VALUES " ^ String.concat ", " values))
   done;
-  let digest rows =
-    Printf.sprintf "%d rows %s" (List.length rows)
-      (Digest.to_hex
-         (Digest.string
-            (String.concat "\n"
-               (List.map (Format.asprintf "%a" Nsql_row.Row.pp_row) rows))))
-  in
   let outcome sql =
     match N.exec s sql with
     | Ok (N.Rows { rows; _ }) -> digest rows

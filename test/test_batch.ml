@@ -1,18 +1,16 @@
-(* Properties of the push-based batched executor: for every query shape
-   the batched pipeline and the retained pull-reference path produce
-   byte-identical rowsets, byte-identical stats counters (messages, bytes,
-   locks, batches, rows — the whole [Stats.to_assoc] vector), and the same
-   simulated clock — on random Wisconsin queries, across the published
-   Wisconsin suite, and under a chaos fault filter delaying and flapping
-   the Disk Processes. The batching is an implementation change only; any
-   observable divergence is a bug. *)
+(* Goldens for the push-based batched executor: for every query shape of
+   the generator below, an UPDATE+DELETE pair and the published Wisconsin
+   suite, each with and without a chaos fault filter delaying and flapping
+   the Disk Processes, the rowset digest, the whole [Stats.to_assoc]
+   vector (messages, bytes, locks, batches, rows) and the simulated clock
+   are pinned. They were captured while the row-at-a-time pull engine
+   still ran beside the batched one and agreed with it on every scenario,
+   so each constant is the pull reference's output too: the batching is an
+   implementation change only, and any divergence from a golden is a bug. *)
 
 module N = Nsql_core.Nonstop_sql
 module Sim = Nsql_sim.Sim
-module Stats = Nsql_sim.Stats
-module Config = Nsql_sim.Config
 module Msg = Nsql_msg.Msg
-module Row = Nsql_row.Row
 module Errors = Nsql_util.Errors
 module Wisconsin = Nsql_workload.Wisconsin
 
@@ -21,9 +19,7 @@ let fpr = Printf.sprintf
 let rows = 240
 let parts = 4
 
-(* a tiny deterministic generator seeded per property case, as in
-   test_fanout: keeping everything on the QCheck seed makes shrinking and
-   replay exact *)
+(* a tiny deterministic generator: one seed fixes the whole scenario *)
 let prng seed =
   let state = ref (max 1 (seed land 0x3FFFFFFF)) in
   fun n ->
@@ -80,9 +76,8 @@ let install_chaos node seed =
          | 1 -> Msg.Fault_path_retry (float_of_int (Hashtbl.hash (tag, seed) mod 300))
          | _ -> Msg.Fault_pass))
 
-let make_node ~batched ~chaos seed =
-  let config = Config.v ~exec_batch:batched () in
-  let node = N.create_node ~config ~volumes:4 () in
+let make_node ~chaos seed =
+  let node = N.create_node ~volumes:4 () in
   get_ok ~ctx:"wisc" (Wisconsin.create node ~name:"t" ~rows ~partitions:parts ());
   get_ok ~ctx:"wisc2" (Wisconsin.create node ~name:"t2" ~rows:(rows / 2) ());
   ignore (N.exec_exn (N.session node) "CREATE INDEX t_op ON t (onepercent)");
@@ -94,114 +89,79 @@ let run_sql node sql =
   | N.Rows { rows; _ } -> rows
   | _ -> Alcotest.fail ("not a rowset: " ^ sql)
 
-let pp_rows rs =
-  String.concat "; " (List.map (Format.asprintf "%a" Row.pp_row) rs)
+(* seeds whose generated SELECT takes shapes 0 to 7 in turn, over a
+   residual filter, an index equality, a key range, an OR, no WHERE and a
+   conjunction *)
+let select_seeds = [ 5; 17; 10; 2; 20; 21; 6; 22 ]
 
-let check_same_rows sql a b =
-  if a <> b then
-    QCheck.Test.fail_reportf "%s diverged:@.  %s@.  vs@.  %s" sql (pp_rows a)
-      (pp_rows b)
+let select_scenario ~chaos seed =
+  let sql = random_select (prng seed) in
+  let node = make_node ~chaos seed in
+  let rows = run_sql node sql in
+  String.concat "\n" [ sql; Golden.digest rows; Golden.fingerprint node ]
 
-(* the full observable state of a run: every stats counter plus the
-   simulated clock — "byte-identical" means this whole vector matches *)
-let snapshot node =
-  (Stats.to_assoc (Sim.stats (N.sim node)), Sim.now (N.sim node))
+(* the DML drivers: an UPDATE and a DELETE, then a probe of the table *)
+let dml_seeds = [ 2; 4 ]
 
-let check_same_snapshot sql (sa, ta) (sb, tb) =
+let dml_scenario ~chaos seed =
+  let next = prng seed in
+  let upd =
+    fpr "UPDATE t SET unique3 = unique3 + %d, stringu1 = 'touched'%s"
+      (1 + next 50) (random_where next)
+  in
+  let del = fpr "DELETE FROM t%s" (random_where next) in
+  let node = make_node ~chaos seed in
+  let s = N.session node in
+  let affected stmt =
+    match N.exec_exn s stmt with
+    | N.Affected n -> fpr "%s: %d" stmt n
+    | _ -> Alcotest.fail ("not a DML result: " ^ stmt)
+  in
+  let upd = affected upd in
+  let del = affected del in
+  let probe = run_sql node "SELECT unique2, unique3, stringu1 FROM t" in
+  String.concat "\n" [ upd; del; Golden.digest probe; Golden.fingerprint node ]
+
+(* the published Wisconsin suite on one node, query by query *)
+let wisconsin_scenario ~chaos =
+  let node = make_node ~chaos 1 in
+  let lines =
+    List.map
+      (fun q ->
+        let rows = run_sql node q.Wisconsin.q_sql in
+        fpr "%s: %s now=%.6f" q.Wisconsin.q_id (Golden.digest rows)
+          (Sim.now (N.sim node)))
+      (Wisconsin.selection_queries ~table:"t" ~rows
+      @ Wisconsin.agg_and_join_queries ~table:"t" ~table2:"t2" ~rows)
+  in
+  String.concat "\n" (lines @ [ Golden.fingerprint node ])
+
+let check_goldens name scenarios goldens () =
   List.iter2
-    (fun (name, va) (name', vb) ->
-      assert (name = name');
-      if va <> vb then
-        QCheck.Test.fail_reportf "%s: pull/batched %s diverged: %d vs %d" sql
-          name va vb)
-    sa sb;
-  if ta <> tb then
-    QCheck.Test.fail_reportf "%s: simulated clock diverged: %.0f vs %.0f" sql
-      ta tb
+    (fun (label, run) expected ->
+      Alcotest.(check string) (name ^ " " ^ label) expected (run ()))
+    scenarios goldens
 
-(* --- batched SELECT ≡ pull SELECT, random shapes ---------------------- *)
+let seeded run seeds =
+  List.map (fun seed -> (fpr "seed %d" seed, fun () -> run seed)) seeds
 
-let select_equivalence ~chaos =
-  QCheck.Test.make ~count:15
-    ~name:
-      (if chaos then "batched select = pull select (under chaos)"
-       else "batched select = pull select")
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let next = prng seed in
-      let sql = random_select next in
-      let pull_node = make_node ~batched:false ~chaos seed in
-      let bat_node = make_node ~batched:true ~chaos seed in
-      check_same_rows sql (run_sql pull_node sql) (run_sql bat_node sql);
-      check_same_snapshot sql (snapshot pull_node) (snapshot bat_node);
-      true)
-
-(* --- batched DML drivers ≡ pull DML drivers --------------------------- *)
-
-let dml_equivalence ~chaos =
-  QCheck.Test.make ~count:10
-    ~name:
-      (if chaos then "batched DML = pull DML (under chaos)"
-       else "batched DML = pull DML")
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let next = prng seed in
-      let upd =
-        fpr "UPDATE t SET unique3 = unique3 + %d, stringu1 = 'touched'%s"
-          (1 + next 50) (random_where next)
-      in
-      let del = fpr "DELETE FROM t%s" (random_where next) in
-      let probe = "SELECT unique2, unique3, stringu1 FROM t" in
-      let run node =
-        let s = N.session node in
-        let affected stmt =
-          match N.exec_exn s stmt with
-          | N.Affected n -> n
-          | _ -> Alcotest.fail ("not a DML result: " ^ stmt)
-        in
-        let nu = affected upd in
-        let nd = affected del in
-        ((nu, nd), run_sql node probe, snapshot node)
-      in
-      let an, ar, asnap = run (make_node ~batched:false ~chaos seed) in
-      let bn, br, bsnap = run (make_node ~batched:true ~chaos seed) in
-      if an <> bn then
-        QCheck.Test.fail_reportf "affected counts diverged: %d,%d vs %d,%d"
-          (fst an) (snd an) (fst bn) (snd bn);
-      check_same_rows probe ar br;
-      check_same_snapshot (upd ^ "; " ^ del) asnap bsnap;
-      true)
-
-(* --- the published Wisconsin suite, query by query -------------------- *)
-
-let wisconsin_suite_equivalence ~chaos =
-  QCheck.Test.make ~count:3
-    ~name:
-      (if chaos then "Wisconsin suite: batched = pull (under chaos)"
-       else "Wisconsin suite: batched = pull")
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let queries =
-        Wisconsin.selection_queries ~table:"t" ~rows
-        @ Wisconsin.agg_and_join_queries ~table:"t" ~table2:"t2" ~rows
-      in
-      let pull_node = make_node ~batched:false ~chaos seed in
-      let bat_node = make_node ~batched:true ~chaos seed in
-      List.iter
-        (fun q ->
-          let tag = fpr "%s (%s)" q.Wisconsin.q_id q.Wisconsin.q_sql in
-          check_same_rows tag (run_sql pull_node q.Wisconsin.q_sql)
-            (run_sql bat_node q.Wisconsin.q_sql);
-          check_same_snapshot tag (snapshot pull_node) (snapshot bat_node))
-        queries;
-      true)
+let case ~chaos name scenarios goldens =
+  let name = if chaos then name ^ " (under chaos)" else name in
+  Alcotest.test_case name `Quick (check_goldens name scenarios goldens)
 
 let suite =
-  [
-    QCheck_alcotest.to_alcotest (select_equivalence ~chaos:false);
-    QCheck_alcotest.to_alcotest (select_equivalence ~chaos:true);
-    QCheck_alcotest.to_alcotest (dml_equivalence ~chaos:false);
-    QCheck_alcotest.to_alcotest (dml_equivalence ~chaos:true);
-    QCheck_alcotest.to_alcotest (wisconsin_suite_equivalence ~chaos:false);
-    QCheck_alcotest.to_alcotest (wisconsin_suite_equivalence ~chaos:true);
-  ]
+  let both name scenarios goldens goldens_chaos =
+    [
+      case ~chaos:false name (scenarios ~chaos:false) goldens;
+      case ~chaos:true name (scenarios ~chaos:true) goldens_chaos;
+    ]
+  in
+  both "batched select = pull select"
+    (fun ~chaos -> seeded (select_scenario ~chaos) select_seeds)
+    Batch_goldens.select Batch_goldens.select_chaos
+  @ both "batched DML = pull DML"
+      (fun ~chaos -> seeded (dml_scenario ~chaos) dml_seeds)
+      Batch_goldens.dml Batch_goldens.dml_chaos
+  @ both "Wisconsin suite: batched = pull"
+      (fun ~chaos -> [ ("suite", fun () -> wisconsin_scenario ~chaos) ])
+      [ Batch_goldens.wisconsin ] [ Batch_goldens.wisconsin_chaos ]
