@@ -1341,12 +1341,12 @@ let micro_benchmarks () =
       Test.make ~name:"cache.read (hit)"
         (Staged.stage (fun () -> Cache.read cache 1));
     ]
-    @ (* the executor's two inner-loop shapes over the same 1000 rows
-         (filter → group/aggregate, 50 groups): the pull engine pays a
+    @ (* two inner-loop shapes over the same 1000 rows (filter →
+         group/aggregate, 50 groups): a row-at-a-time pull pays a
          next()/option closure per operator boundary, a codec-encoded
-         group key, and kind/argument dispatch per row; the batched
-         engine loops over the array with a value-hashed key and
-         feeders resolved once per query *)
+         group key, and kind/argument dispatch per row; the executor
+         loops over the array with a value-hashed key and feeders
+         resolved once per query *)
       (let op_batch =
          Array.init 1000 (fun i ->
              [| Row.Vint (i mod 50); Row.Vint i; Row.Vfloat 3.14 |])
@@ -1722,57 +1722,34 @@ let e22_batched_executor () =
   heading "E22"
     "push-based batched executor: reply buffers as operator batches"
     "the File System already receives whole VSBB reply buffers; the \
-     batched engine keeps each buffer intact as one operator-exchange \
-     batch — tight array loops inside every operator, no per-record \
-     closure call or list cons at operator boundaries — while query \
-     results, message counts, reply bytes and the simulated clock stay \
-     byte-identical to the row-at-a-time pull engine";
+     executor keeps each buffer intact as one operator-exchange batch — \
+     tight array loops inside every operator, no per-record closure call \
+     or list cons at operator boundaries";
   let rows = 10_000 in
   let sql =
     "SELECT onepercent, COUNT(*), SUM(unique1), MIN(unique2) FROM t GROUP \
      BY onepercent"
   in
-  let rowset_of = function
-    | N.Rows rs -> rs
-    | _ -> assert false
-  in
   let reps = 25 in
-  let run batched =
-    let config = Config.v ~exec_batch:batched () in
-    let node = N.create_node ~config ~volumes:1 () in
-    get_ok ~ctx:"wisc" (Wisconsin.create node ~name:"t" ~rows ());
-    let s = N.session node in
-    (* first execution warms the cache and keeps the rowset for the gate *)
-    let first = rowset_of (N.exec_exn s sql) in
-    let sim = N.sim node in
-    let t0 = Sim.now sim in
-    let _, delta = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
-    let sim_us = Sim.now sim -. t0 in
-    (* one traced run for the per-operator span profile *)
-    Trace.clear sim;
-    Trace.set_enabled sim true;
-    ignore (N.exec_exn s sql);
-    Trace.set_enabled sim false;
-    let spans = Trace.take sim in
-    (* host-CPU throughput over repeated executions of the same query *)
-    let h0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (N.exec_exn s sql)
-    done;
-    let host_s = Sys.time () -. h0 in
-    (first, delta, sim_us, spans, float_of_int (reps * rows) /. host_s)
-  in
-  let r_pull, d_pull, t_pull, sp_pull, rps_pull = run false in
-  let r_bat, d_bat, t_bat, sp_bat, rps_bat = run true in
-  (* the regression gate: the batch boundary is the existing VSBB reply,
-     so nothing observable may move *)
-  assert (r_pull = r_bat);
-  assert (d_pull.Stats.msgs_sent = d_bat.Stats.msgs_sent);
-  assert (d_pull.Stats.msg_req_bytes = d_bat.Stats.msg_req_bytes);
-  assert (d_pull.Stats.msg_reply_bytes = d_bat.Stats.msg_reply_bytes);
-  assert (d_pull.Stats.exec_batches = d_bat.Stats.exec_batches);
-  assert (d_pull.Stats.exec_rows = d_bat.Stats.exec_rows);
-  assert (t_pull = t_bat);
+  let node = N.create_node ~volumes:1 () in
+  get_ok ~ctx:"wisc" (Wisconsin.create node ~name:"t" ~rows ());
+  let s = N.session node in
+  (* the first execution warms the cache *)
+  ignore (N.exec_exn s sql);
+  let sim = N.sim node in
+  let _, d_bat = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
+  (* one traced run for the per-operator span profile *)
+  Trace.clear sim;
+  Trace.set_enabled sim true;
+  ignore (N.exec_exn s sql);
+  Trace.set_enabled sim false;
+  let sp_bat = Trace.take sim in
+  (* host-CPU throughput over repeated executions of the same query *)
+  let h0 = Sys.time () in
+  for _ = 1 to reps do
+    ignore (N.exec_exn s sql)
+  done;
+  let rps_bat = float_of_int (reps * rows) /. (Sys.time () -. h0) in
   (* the operator chain, from the planner's descriptor API *)
   printf "operator chain (planner descriptors):@.";
   let chain_node = N.create_node ~volumes:1 () in
@@ -1786,36 +1763,24 @@ let e22_batched_executor () =
             (Nsql_sql.Planner.operators plan)
       | Error _ -> assert false)
   | _ -> assert false);
-  printf "@.per-operator span profile, pull engine:@.%a@."
-    (fun ppf l -> Trace.pp_profile ~cats:[ "op" ] ppf l)
-    sp_pull;
-  printf "per-operator span profile, batched engine:@.%a@."
+  printf "@.per-operator span profile:@.%a@."
     (fun ppf l -> Trace.pp_profile ~cats:[ "op" ] ppf l)
     sp_bat;
   let rows_per_batch =
     float_of_int d_bat.Stats.exec_rows /. float_of_int d_bat.Stats.exec_batches
   in
-  printf "%-22s %10s %12s %10s %12s@." "engine" "messages" "reply bytes"
-    "batches" "records/s";
-  printf "%-22s %10d %12d %10d %12.0f@." "pull (row-at-a-time)"
-    d_pull.Stats.msgs_sent d_pull.Stats.msg_reply_bytes
-    d_pull.Stats.exec_batches rps_pull;
-  printf "%-22s %10d %12d %10d %12.0f@." "batched"
-    d_bat.Stats.msgs_sent d_bat.Stats.msg_reply_bytes
-    d_bat.Stats.exec_batches rps_bat;
-  printf
-    "@.%.1f rows per batch; end-to-end host speedup %.2fx — the end-to-end \
-     figure is dominated by the simulated storage stack below the \
-     executor, which both engines drive identically@."
-    rows_per_batch (rps_bat /. rps_pull);
+  printf "%10s %12s %10s %12s@." "messages" "reply bytes" "batches" "records/s";
+  printf "%10d %12d %10d %12.0f@." d_bat.Stats.msgs_sent
+    d_bat.Stats.msg_reply_bytes d_bat.Stats.exec_batches rps_bat;
+  printf "@.%.1f rows per batch@." rows_per_batch;
   (* --- operator-pipeline throughput --------------------------------- *)
-  (* The refactor's target is the per-record cost inside the executor's
-     operator chain, so measure exactly that: the same
-     filter→project→aggregate pipeline over the same materialized scan
-     output (the real VSBB reply batches), once with the pull engine's
-     per-row list shapes and once with the batched engine's array loops.
-     The storage stack is out of the picture; every simulated charge the
-     engines make (5 ticks per grouped row, 2 per emitted row) stays in. *)
+  (* Batching targets the per-record cost inside the executor's operator
+     chain, so measure exactly that: the same filter→project→aggregate
+     pipeline over the same materialized scan output (the real VSBB reply
+     batches), once with row-at-a-time list shapes and once with the
+     executor's array loops. The storage stack is out of the picture;
+     every simulated charge (5 ticks per grouped row, 2 per emitted row)
+     stays in. *)
   let filter_pred = Expr.(Cmp (Ge, Field 1, int_ 0)) in
   let key_exprs = [ Expr.Field 6 ] in
   let key0 = Expr.Field 6 in
@@ -1831,9 +1796,10 @@ let e22_batched_executor () =
   let proj_exprs = [ Expr.Field 0; Expr.Field 1; Expr.Field 2; Expr.Field 3 ] in
   let finish spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc in
   let feeds = List.map Dp_msg.feeder specs in
-  (* the pull engine's shapes: a [scan_next]-style pop per row (tick,
-     result boxing, cons) into a materialized list, then list phases with
-     one closure call, key encode and cons per row *)
+  (* the row-at-a-time shapes the executor had before it consumed whole
+     reply buffers: a [scan_next]-style pop per row (tick, result boxing,
+     cons) into a materialized list, then list phases with one closure
+     call, key encode and cons per row *)
   let pull_pipeline sim rows =
     let buf = ref rows in
     let next () =
@@ -1890,7 +1856,7 @@ let e22_batched_executor () =
     Sim.tick sim (2 * List.length out);
     out
   in
-  (* the batched engine's shapes: array loops, aggregated ticks, and the
+  (* the executor's shapes: array loops, aggregated ticks, and the
      scalar-key fast path that skips the per-row key encode *)
   let proj_arr = Array.of_list proj_exprs in
   let batched_pipeline sim batches =

@@ -548,7 +548,6 @@ type seq_scan = {
   mutable sc_scb : int option;
   mutable sc_last_key : string;
   mutable sc_started : bool;  (** GET^FIRST already sent in this partition *)
-  mutable sc_buf : scan_item list;
   mutable sc_done : bool;
   sc_span : Trace.h;  (** scan-lifetime span, finished at close *)
 }
@@ -560,8 +559,7 @@ type par_part = {
   mutable pp_scb : int option;
   mutable pp_last_key : string;
   mutable pp_pending : Msg.completion option;
-  mutable pp_front : scan_item list;
-  mutable pp_chunks : scan_item list list;  (** newest first *)
+  mutable pp_chunks : scan_item list list;  (** whole replies, newest first *)
   mutable pp_done : bool;  (** partition exhausted on the DP side *)
   mutable pp_span : Trace.h;
       (** fan-out leg span; its counter deltas are attributed per
@@ -579,14 +577,20 @@ type par_scan = {
   pr_ordered : bool;
   pr_parts : par_part array;
   mutable pr_cur : int;  (** ordered: next partition to consume *)
-  mutable pr_front : scan_item list;  (** unordered: arrival-order queue *)
-  mutable pr_chunks : scan_item list list;
+  mutable pr_chunks : scan_item list list;  (** unordered: arrivals, newest first *)
   mutable pr_started : bool;
   mutable pr_dead : bool;  (** closed or failed: yield nothing more *)
   pr_span : Trace.h;
 }
 
-type scan = Seq of seq_scan | Par of par_scan
+type driver = Seq of seq_scan | Par of par_scan
+
+type scan = {
+  drv : driver;
+  mutable batch : scan_item list;
+      (** taken from the driver as one batch, not yet popped by
+          [scan_next_item]; dropped at close *)
+}
 
 let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
   let pieces = partition_ranges f range in
@@ -609,56 +613,56 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
         (access_name access ^ " scan " ^ f.fname)
     else None
   in
-  if par then
-    Par
-      {
-        pr_file = f;
-        pr_tx = tx;
-        pr_access = access;
-        pr_pred = pred;
-        pr_proj = proj;
-        pr_lock = lock;
-        pr_ordered = ordered;
-        pr_parts =
-          Array.of_list
-            (List.map
-               (fun (p, r) ->
-                 {
-                   pp_part = p;
-                   pp_range = r;
-                   pp_scb = None;
-                   pp_last_key = "";
-                   pp_pending = None;
-                   pp_front = [];
-                   pp_chunks = [];
-                   pp_done = false;
-                   pp_span = None;
-                 })
-               pieces);
-        pr_cur = 0;
-        pr_front = [];
-        pr_chunks = [];
-        pr_started = false;
-        pr_dead = false;
-        pr_span = sp;
-      }
-  else
-    Seq
-      {
-        sc_file = f;
-        sc_tx = tx;
-        sc_access = access;
-        sc_pred = pred;
-        sc_proj = proj;
-        sc_lock = lock;
-        sc_parts = pieces;
-        sc_scb = None;
-        sc_last_key = "";
-        sc_started = false;
-        sc_buf = [];
-        sc_done = false;
-        sc_span = sp;
-      }
+  let drv =
+    if par then
+      Par
+        {
+          pr_file = f;
+          pr_tx = tx;
+          pr_access = access;
+          pr_pred = pred;
+          pr_proj = proj;
+          pr_lock = lock;
+          pr_ordered = ordered;
+          pr_parts =
+            Array.of_list
+              (List.map
+                 (fun (p, r) ->
+                   {
+                     pp_part = p;
+                     pp_range = r;
+                     pp_scb = None;
+                     pp_last_key = "";
+                     pp_pending = None;
+                     pp_chunks = [];
+                     pp_done = false;
+                     pp_span = None;
+                   })
+                 pieces);
+          pr_cur = 0;
+          pr_chunks = [];
+          pr_started = false;
+          pr_dead = false;
+          pr_span = sp;
+        }
+    else
+      Seq
+        {
+          sc_file = f;
+          sc_tx = tx;
+          sc_access = access;
+          sc_pred = pred;
+          sc_proj = proj;
+          sc_lock = lock;
+          sc_parts = pieces;
+          sc_scb = None;
+          sc_last_key = "";
+          sc_started = false;
+          sc_done = false;
+          sc_span = sp;
+        }
+  in
+  { drv; batch = [] }
 
 (* client-side filtering for the record-at-a-time and RSBB paths *)
 let client_select_gen ~schema ~pred ~proj key record =
@@ -703,9 +707,8 @@ let client_select sc key record =
   client_select_gen ~schema:sc.sc_file.schema ~pred:sc.sc_pred
     ~proj:sc.sc_proj key record
 
-(* one reply buffer absorbed into the scan's item buffer = one
-   executor-visible batch; counted at the absorb site so the pull and
-   batched executors (which drain the same buffers) agree exactly *)
+(* one non-empty reply buffer = one executor-visible batch, counted where
+   the reply is absorbed *)
 let note_batch t n =
   if n > 0 then begin
     let s = Sim.stats t.sim in
@@ -713,12 +716,12 @@ let note_batch t n =
     s.Stats.exec_rows <- s.Stats.exec_rows + n
   end
 
-(* one FS-DP interaction to refill the buffer; true if the scan may continue *)
+(* one FS-DP interaction: the items of one reply, possibly none *)
 let refill t sc =
   match sc.sc_parts with
   | [] ->
       sc.sc_done <- true;
-      Ok ()
+      Ok []
   | (p, range) :: _ -> (
       match sc.sc_access with
       | A_record -> (
@@ -742,20 +745,19 @@ let refill t sc =
           classify ~ctx:"READ^NEXT" reply (function
             | Dp_msg.Rp_end ->
                 advance_partition t sc;
-                Some (Ok ())
+                Some (Ok [])
             | Dp_msg.Rp_record { key; record } ->
                 if Keycode.compare_keys key range.Expr.hi >= 0 then begin
                   advance_partition t sc;
-                  Some (Ok ())
+                  Some (Ok [])
                 end
                 else begin
                   sc.sc_last_key <- key;
-                  (match client_select sc key record with
+                  match client_select sc key record with
                   | Some item ->
-                      sc.sc_buf <- [ item ];
-                      note_batch t 1
-                  | None -> ());
-                  Some (Ok ())
+                      note_batch t 1;
+                      Some (Ok [ item ])
+                  | None -> Some (Ok [])
                 end
             | _ -> None))
       | A_rsbb | A_vsbb -> (
@@ -792,96 +794,36 @@ let refill t sc =
                 (* the Disk Process has already dropped the SCB *)
                 sc.sc_scb <- None;
                 advance_partition t sc;
-                Some (Ok ())
+                Some (Ok [])
             | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
                 sc.sc_scb <- (if more then Some scb else None);
                 sc.sc_last_key <- last_key;
-                sc.sc_buf <- List.map (fun r -> I_row r) rows;
-                note_batch t (List.length sc.sc_buf);
+                let items = List.map (fun r -> I_row r) rows in
+                note_batch t (List.length items);
                 if not more then advance_partition t sc;
-                Some (Ok ())
+                Some (Ok items)
             | Dp_msg.Rp_block { entries; last_key; more; scb } ->
                 sc.sc_scb <- (if more then Some scb else None);
                 sc.sc_last_key <- last_key;
-                sc.sc_buf <-
-                  List.filter_map (fun (k, r) -> client_select sc k r) entries;
-                note_batch t (List.length sc.sc_buf);
+                let items =
+                  List.filter_map (fun (k, r) -> client_select sc k r) entries
+                in
+                note_batch t (List.length items);
                 if not more then advance_partition t sc;
-                Some (Ok ())
+                Some (Ok items)
             | _ -> None)))
 
-let rec seq_next_item t sc =
-  match sc.sc_buf with
-  | item :: rest ->
-      sc.sc_buf <- rest;
-      Sim.tick t.sim 3;
-      Ok (Some item)
-  | [] ->
-      if sc.sc_done then Ok None
-      else
-        let* () = refill t sc in
-        if sc.sc_buf = [] && sc.sc_done then Ok None else seq_next_item t sc
-
-(* take everything currently buffered as one batch. Draining item-by-item
-   does nothing to the simulation between pops (the pops are pure), so one
-   aggregated [Sim.tick (3n)] fires the same events at the same times as n
-   interleaved [Sim.tick 3]s — the batched and pull paths are
-   observationally identical. [tick:false] hands the rows over uncharged:
-   the caller owes [Sim.tick 3] per row *before* any per-row message, which
-   keeps message send times exact for consumers that interleave sends with
-   consumption (index base reads, keyed fallbacks). *)
-let rec seq_next_items ~tick t sc =
-  match sc.sc_buf with
-  | _ :: _ as items ->
-      sc.sc_buf <- [];
-      if tick then Sim.tick t.sim (3 * List.length items);
-      Ok (Some items)
-  | [] ->
-      if sc.sc_done then Ok None
-      else
-        let* () = refill t sc in
-        if sc.sc_buf = [] && sc.sc_done then Ok None
-        else seq_next_items ~tick t sc
+(* the next non-empty reply's items, uncharged; [] at end of scan *)
+let rec seq_next_items t sc =
+  if sc.sc_done then Ok []
+  else
+    let* items = refill t sc in
+    match items with [] -> seq_next_items t sc | items -> Ok items
 
 (* --- parallel (nowait) scan driver ---------------------------------------- *)
 
-(* pop one buffered item; chunks hold whole replies, newest first *)
-let chunk_take ~front ~chunks ~set_front ~set_chunks =
-  match front with
-  | it :: rest ->
-      set_front rest;
-      Some it
-  | [] -> (
-      match List.concat (List.rev chunks) with
-      | [] -> None
-      | it :: rest ->
-          set_chunks [];
-          set_front rest;
-          Some it)
-
-let pp_take pp =
-  chunk_take ~front:pp.pp_front ~chunks:pp.pp_chunks
-    ~set_front:(fun l -> pp.pp_front <- l)
-    ~set_chunks:(fun l -> pp.pp_chunks <- l)
-
-let pr_take ps =
-  chunk_take ~front:ps.pr_front ~chunks:ps.pr_chunks
-    ~set_front:(fun l -> ps.pr_front <- l)
-    ~set_chunks:(fun l -> ps.pr_chunks <- l)
-
-(* drain the whole buffer in pop order: the items a sequence of pops would
-   return, with no simulation activity between them *)
-let pp_take_all pp =
-  let items = pp.pp_front @ List.concat (List.rev pp.pp_chunks) in
-  pp.pp_front <- [];
-  pp.pp_chunks <- [];
-  items
-
-let pr_take_all ps =
-  let items = ps.pr_front @ List.concat (List.rev ps.pr_chunks) in
-  ps.pr_front <- [];
-  ps.pr_chunks <- [];
-  items
+(* everything buffered, in arrival order *)
+let take_chunks chunks = List.concat (List.rev chunks)
 
 (* ordered scans buffer per partition (ranges are disjoint and ascending,
    so partition order IS key order); unordered scans queue arrivals *)
@@ -1011,102 +953,85 @@ let par_await_some t ps =
           ps.pr_dead <- true;
           Error e)
 
-let rec par_next_item t ps =
-  if ps.pr_dead then Ok None
+(* the next buffered items, uncharged; [] at end of scan. An ordered scan
+   surrenders its current partition's buffer and moves to the next
+   partition only once this one is exhausted, so the items come in key
+   order; an unordered scan surrenders every arrival so far. *)
+let rec par_next_items t ps =
+  if ps.pr_dead then Ok []
   else begin
     if not ps.pr_started then par_issue_first t ps;
     if ps.pr_ordered then begin
-      if ps.pr_cur >= Array.length ps.pr_parts then Ok None
+      if ps.pr_cur >= Array.length ps.pr_parts then Ok []
       else begin
         let pp = ps.pr_parts.(ps.pr_cur) in
-        match pp_take pp with
-        | Some it ->
-            Sim.tick t.sim 3;
-            Ok (Some it)
-        | None ->
-            if pp.pp_done && pp.pp_pending = None then begin
-              ps.pr_cur <- ps.pr_cur + 1;
-              par_next_item t ps
-            end
-            else
-              let* progressed = par_await_some t ps in
-              if progressed then par_next_item t ps else Ok None
-      end
-    end
-    else begin
-      match pr_take ps with
-      | Some it ->
-          Sim.tick t.sim 3;
-          Ok (Some it)
-      | None ->
-          let all_done =
-            Array.for_all (fun pp -> pp.pp_done && pp.pp_pending = None) ps.pr_parts
-          in
-          if all_done then Ok None
-          else
-            let* progressed = par_await_some t ps in
-            if progressed then par_next_item t ps else Ok None
-    end
-  end
-
-(* batch variant of [par_next_item]: same await/advance decisions, but a
-   non-empty buffer is surrendered whole (see [seq_next_items] for the
-   tick-equivalence argument) *)
-let rec par_next_items ~tick t ps =
-  if ps.pr_dead then Ok None
-  else begin
-    if not ps.pr_started then par_issue_first t ps;
-    if ps.pr_ordered then begin
-      if ps.pr_cur >= Array.length ps.pr_parts then Ok None
-      else begin
-        let pp = ps.pr_parts.(ps.pr_cur) in
-        match pp_take_all pp with
+        match take_chunks pp.pp_chunks with
         | _ :: _ as items ->
-            if tick then Sim.tick t.sim (3 * List.length items);
-            Ok (Some items)
+            pp.pp_chunks <- [];
+            Ok items
         | [] ->
             if pp.pp_done && pp.pp_pending = None then begin
               ps.pr_cur <- ps.pr_cur + 1;
-              par_next_items ~tick t ps
+              par_next_items t ps
             end
             else
               let* progressed = par_await_some t ps in
-              if progressed then par_next_items ~tick t ps else Ok None
+              if progressed then par_next_items t ps else Ok []
       end
     end
     else begin
-      match pr_take_all ps with
+      match take_chunks ps.pr_chunks with
       | _ :: _ as items ->
-          if tick then Sim.tick t.sim (3 * List.length items);
-          Ok (Some items)
+          ps.pr_chunks <- [];
+          Ok items
       | [] ->
           let all_done =
             Array.for_all (fun pp -> pp.pp_done && pp.pp_pending = None) ps.pr_parts
           in
-          if all_done then Ok None
+          if all_done then Ok []
           else
             let* progressed = par_await_some t ps in
-            if progressed then par_next_items ~tick t ps else Ok None
+            if progressed then par_next_items t ps else Ok []
     end
   end
 
 (* --- common scan interface -------------------------------------------------- *)
 
+let scan_span sc = match sc.drv with Seq s -> s.sc_span | Par ps -> ps.pr_span
+let scan_file sc = match sc.drv with Seq s -> s.sc_file | Par ps -> ps.pr_file
+
+(* the rest of the popped-from batch, or else the driver's next batch;
+   uncharged, [] at end of scan *)
+let take_batch t sc =
+  match sc.batch with
+  | [] -> (
+      match sc.drv with
+      | Seq s -> seq_next_items t s
+      | Par ps -> par_next_items t ps)
+  | items ->
+      sc.batch <- [];
+      Ok items
+
 (* every interaction runs inside an attribute window on the scan's span:
    children begun here nest under it and its counter delta accumulates
    exactly over scan work, not whatever the caller does while holding the
-   handle open *)
+   handle open. A pop charges [Sim.tick 3]; nothing reaches the
+   simulation between pops, so n pops fire the same events at the same
+   times as the one [Sim.tick (3n)] of a whole-batch take. *)
 let scan_next_item t sc =
-  let h = match sc with Seq sc -> sc.sc_span | Par ps -> ps.pr_span in
-  Trace.attribute t.sim h (fun () ->
-      match sc with
-      | Seq sc -> seq_next_item t sc
-      | Par ps -> par_next_item t ps)
+  Trace.attribute t.sim (scan_span sc) (fun () ->
+      let* items = take_batch t sc in
+      match items with
+      | [] -> Ok None
+      | item :: rest ->
+          sc.batch <- rest;
+          Sim.tick t.sim 3;
+          Ok (Some item))
 
-let scan_file = function Seq sc -> sc.sc_file | Par ps -> ps.pr_file
-
-let close_scan t = function
-  | Seq sc -> seq_close t sc
+let close_scan t sc =
+  sc.batch <- [];
+  match sc.drv with
+  | Seq s -> seq_close t s
   | Par ps ->
       Trace.attribute t.sim ps.pr_span (fun () ->
           par_quiesce t ps;
@@ -1138,18 +1063,17 @@ let scan_next t sc =
    buffer — as one row array; [None] when the scan is exhausted. With
    [~tick:false] the per-row pop charge is NOT applied: the consumer must
    charge [Sim.tick 3] per row before any per-row message it sends, so the
-   message timeline stays byte-identical to the pull path. *)
+   message timeline stays byte-identical to popping rows one at a time. *)
 let scan_next_batch ?(tick = true) t sc =
-  let h = match sc with Seq sc -> sc.sc_span | Par ps -> ps.pr_span in
   let* items =
-    Trace.attribute t.sim h (fun () ->
-        match sc with
-        | Seq sc -> seq_next_items ~tick t sc
-        | Par ps -> par_next_items ~tick t ps)
+    Trace.attribute t.sim (scan_span sc) (fun () ->
+        let* items = take_batch t sc in
+        if tick && items <> [] then Sim.tick t.sim (3 * List.length items);
+        Ok items)
   in
   match items with
-  | None -> Ok None
-  | Some items -> (
+  | [] -> Ok None
+  | items -> (
       match (scan_file sc).schema with
       | Some schema ->
           Ok

@@ -33,12 +33,6 @@ type t = {
           from the checkpoint stream; pure backup-side bookkeeping — the
           knob changes no message traffic, clock or counters, only whether
           a takeover can resume in-flight work *)
-  exec_batch : bool;
-      (** run the SQL executor as a push/batch pipeline: each FS-DP reply
-          buffer flows through the operator chain as one row array with
-          tight loops inside each operator; the pull-one-row reference
-          path (exec_batch = false) is kept for A/B comparison and is
-          byte-identical in results, message traffic, counters and clock *)
   disk_queue_depth : int;
       (** number of I/Os a volume services concurrently (io_uring-style
           submission/completion channels). 1 — the default — serializes
@@ -76,7 +70,6 @@ val v :
   ?fs_fanout:bool ->
   ?dp_lock_wait:bool ->
   ?dp_checkpoint:bool ->
-  ?exec_batch:bool ->
   ?disk_queue_depth:int ->
   ?msg_local_cost_us:float ->
   ?msg_cpu_cost_us:float ->

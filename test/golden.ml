@@ -115,8 +115,8 @@ let chaos ~seed () =
    creation, an index scan with base-row reads, an UPDATE of the indexed
    column and a DELETE (both take the requester-side fallback that keeps
    the index in step) *)
-let indexed ?(exec_batch = true) ~fanout () =
-  let config = Config.v ~fs_fanout:fanout ~exec_batch () in
+let indexed ~fanout () =
+  let config = Config.v ~fs_fanout:fanout () in
   let node = N.create_node ~config ~volumes:4 () in
   let rows = 200 in
   get_ok ~ctx:"wisc" (Wisconsin.create node ~name:"t" ~rows ~partitions:4 ());
@@ -334,7 +334,6 @@ let redrive_scenarios =
     ("queries_record", fun () -> queries ~access:Fs.A_record ());
     ("indexed_fanout", fun () -> indexed ~fanout:true ());
     ("indexed_nofanout", fun () -> indexed ~fanout:false ());
-    ("indexed_pull", fun () -> indexed ~exec_batch:false ~fanout:true ());
     ("blocked_fanout", fun () -> blocked_chains ~fanout:true ());
     ("blocked_nofanout", fun () -> blocked_chains ~fanout:false ());
   ]
@@ -381,9 +380,6 @@ let golden_indexed_fanout =
 let golden_indexed_nofanout =
   "msgs_sent=361;msg_req_bytes=61850;msg_reply_bytes=59250;msgs_remote=361;msgs_internode=0;checkpoint_msgs=242;checkpoint_bytes=63240;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=29;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=3041;cache_misses=0;cache_steals=0;cpu_ticks=64208;lock_requests=224;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=560;audit_bytes=97440;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=6;tx_committed=6;tx_aborted=0;records_read=390;records_returned=390;exec_batches=8;exec_rows=390;redrives=0;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1359778.000000"
 
-let golden_indexed_pull =
-  "msgs_sent=361;msg_req_bytes=61850;msg_reply_bytes=59250;msgs_remote=361;msgs_internode=0;checkpoint_msgs=242;checkpoint_bytes=63240;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=29;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=3041;cache_misses=0;cache_steals=0;cpu_ticks=64208;lock_requests=224;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=560;audit_bytes=97440;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=6;tx_committed=6;tx_aborted=0;records_read=390;records_returned=390;exec_batches=8;exec_rows=390;redrives=0;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1344364.500000"
-
 let golden_blocked_fanout =
   String.concat ""
     [
@@ -416,7 +412,6 @@ let redrive_goldens =
     golden_queries_record;
     golden_indexed_fanout;
     golden_indexed_nofanout;
-    golden_indexed_pull;
     golden_blocked_fanout;
     golden_blocked_nofanout;
   ]

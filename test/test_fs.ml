@@ -228,6 +228,39 @@ let index_scan_streams_base_rows () =
       Alcotest.(check int) "ten base rows" 10 (List.length rows);
       Ok ())
 
+(* a closed scan yields nothing more, whichever driver ran it: the nowait
+   driver over several partitions, the blocking driver, and the blocking
+   driver that a one-partition file gets even with fan-out on *)
+let scan_yields_nothing_after_close () =
+  let module N = Nsql_core.Nonstop_sql in
+  List.iter
+    (fun (label, fanout, partitions) ->
+      let node =
+        N.create_node ~config:(Config.v ~fs_fanout:fanout ()) ~volumes:4 ()
+      in
+      get_ok ~ctx:"wisc"
+        (Nsql_workload.Wisconsin.create node ~name:"t" ~rows:200 ~partitions ());
+      let file =
+        (get_ok ~ctx:"find" (N.Catalog.find (N.catalog node) "t")).N.Catalog.t_file
+      in
+      let fs = N.fs node in
+      let next sc = get_ok ~ctx:"scan_next" (Fs.scan_next fs sc) in
+      get_ok ~ctx:label
+        (N.in_tx (N.session node) (fun tx ->
+             let sc =
+               Fs.open_scan fs file ~tx ~access:Fs.A_vsbb ~range:full_range
+                 ~lock:Dp_msg.L_none ()
+             in
+             Alcotest.(check bool) (label ^ ": a first row") true (next sc <> None);
+             Fs.close_scan fs sc;
+             Alcotest.(check bool) (label ^ ": no row after close") true (next sc = None);
+             Ok ())))
+    [
+      ("fan-out, 4 partitions", true, 4);
+      ("no fan-out, 4 partitions", false, 4);
+      ("fan-out, 1 partition", true, 1);
+    ]
+
 let suite =
   [
     Alcotest.test_case "partitioned file routing" `Quick partitioned_file;
@@ -248,4 +281,6 @@ let suite =
       blocked_insert_fewer_messages;
     Alcotest.test_case "index scan streams base rows" `Quick
       index_scan_streams_base_rows;
+    Alcotest.test_case "no row after close_scan" `Quick
+      scan_yields_nothing_after_close;
   ]
