@@ -57,24 +57,34 @@ let tokenize src =
     end
     else if is_digit c then begin
       let start = !i in
-      while !i < n && is_digit src.[!i] do incr i done;
-      if !i < n && src.[!i] = '.' && !i + 1 < n && is_digit src.[!i + 1] then begin
-        incr i;
-        while !i < n && is_digit src.[!i] do incr i done;
-        (if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-           incr i;
-           if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-           while !i < n && is_digit src.[!i] do incr i done
-         end);
-        push (T_float (float_of_string (String.sub src start (!i - start))))
-      end
-      else if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+      let exponent () =
         incr i;
         if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-        while !i < n && is_digit src.[!i] do incr i done;
-        push (T_float (float_of_string (String.sub src start (!i - start))))
-      end
-      else push (T_int (int_of_string (String.sub src start (!i - start))))
+        while !i < n && is_digit src.[!i] do incr i done
+      in
+      while !i < n && is_digit src.[!i] do incr i done;
+      let float =
+        if !i < n && src.[!i] = '.' && !i + 1 < n && is_digit src.[!i + 1] then begin
+          incr i;
+          while !i < n && is_digit src.[!i] do incr i done;
+          if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then exponent ();
+          true
+        end
+        else if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+          exponent ();
+          true
+        end
+        else false
+      in
+      let lit = String.sub src start (!i - start) in
+      if float then
+        match float_of_string_opt lit with
+        | Some f -> push (T_float f)
+        | None -> error := Some ("malformed numeric literal " ^ lit)
+      else
+        match int_of_string_opt lit with
+        | Some v -> push (T_int v)
+        | None -> error := Some ("integer literal " ^ lit ^ " out of range")
     end
     else if c = '\'' then begin
       let buf = Buffer.create 16 in

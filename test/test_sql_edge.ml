@@ -116,6 +116,28 @@ let limit_edge_cases () =
   Alcotest.(check (list int)) "limit with order" [ 9; 8 ]
     (ints (rows_of (N.exec_exn s "SELECT k FROM t ORDER BY k DESC LIMIT 2")))
 
+(* a numeric literal the host cannot represent is a parse error naming
+   the literal, from the parser and from a session alike *)
+let unrepresentable_literals () =
+  let _node, s = setup () in
+  ignore (N.exec_exn s "CREATE TABLE a (k INT PRIMARY KEY)");
+  let parse_error = function
+    | Error (Errors.Parse_error msg) -> msg
+    | Ok _ -> "accepted"
+    | Error e -> Errors.to_string e
+  in
+  List.iter
+    (fun (sql, msg) ->
+      Alcotest.(check string) ("Parser.parse: " ^ sql) msg (parse_error (Parser.parse sql));
+      Alcotest.(check string) ("N.exec: " ^ sql) msg (parse_error (N.exec s sql)))
+    [
+      ( "SELECT * FROM a LIMIT 99999999999999999999",
+        "integer literal 99999999999999999999 out of range" );
+      ( "SELECT * FROM a WHERE k < 4611686018427387904",
+        "integer literal 4611686018427387904 out of range" );
+      ("SELECT * FROM a WHERE k < 1e", "malformed numeric literal 1e");
+    ]
+
 let self_join_with_aliases () =
   let _node, s = setup () in
   ignore (N.exec_exn s "CREATE TABLE t (k INT PRIMARY KEY, v INT NOT NULL)");
@@ -287,6 +309,8 @@ let suite =
     Alcotest.test_case "ORDER BY multiple keys" `Quick order_by_multiple_keys;
     Alcotest.test_case "expression precedence" `Quick expression_precedence;
     Alcotest.test_case "LIMIT edge cases" `Quick limit_edge_cases;
+    Alcotest.test_case "unrepresentable numeric literals" `Quick
+      unrepresentable_literals;
     Alcotest.test_case "self join with aliases" `Quick self_join_with_aliases;
     Alcotest.test_case "GROUP BY expression" `Quick group_by_expression;
     Alcotest.test_case "HAVING filters groups" `Quick having_filters_groups;
