@@ -128,5 +128,3 @@ let decode r =
   { lsn; tx; body }
 
 let encoded_size t = String.length (encode t)
-
-let is_for_tx tx t = t.tx = tx

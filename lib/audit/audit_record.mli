@@ -40,6 +40,3 @@ val decode : Nsql_util.Codec.reader -> t
 
 (** [encoded_size r] is [String.length (encode r)]. *)
 val encoded_size : t -> int
-
-(** [is_for_tx tx r] filters by transaction. *)
-val is_for_tx : int -> t -> bool

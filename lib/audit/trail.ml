@@ -47,8 +47,6 @@ let create sim volume =
 let next_lsn t = t.next_lsn
 let volume t = t.volume
 let durable_lsn t = t.durable_lsn
-let buffered_bytes t = Buffer.length t.buffer
-let bytes_written t = t.write_pos
 
 let set_timer_us t us =
   t.timer_us <- us;

@@ -52,15 +52,9 @@ val await_durable : t -> int64 -> unit
     LSN order — the restart-recovery scan. *)
 val read_durable : t -> Audit_record.t list
 
-(** [buffered_bytes t] is the current staging-buffer occupancy. *)
-val buffered_bytes : t -> int
-
 (** [set_timer_us t us] pins the group-commit timer (disables adaptation
     for experiment E7 sweeps). *)
 val set_timer_us : t -> float -> unit
 
 (** [current_timer_us t] is the timer in effect. *)
 val current_timer_us : t -> float
-
-(** [bytes_written t] is the total bytes flushed to the audit volume. *)
-val bytes_written : t -> int

@@ -116,18 +116,6 @@ val in_tx :
     re-running from the top is safe. *)
 val retryable : Nsql_util.Errors.t -> bool
 
-(** [in_tx_retry node f] runs [f tx] in a fresh transaction like {!in_tx},
-    but when the transaction fails with a {!retryable} error — deadlock
-    victim, lock-wait budget expiry, process-pair takeover — it aborts,
-    releasing its locks so the competitors win, charges a bounded
-    exponential backoff to the simulated clock, and runs [f] again in a
-    new transaction, up to [max_retries] times. Returns the final result
-    and the number of retries taken. *)
-val in_tx_retry :
-  ?max_retries:int -> ?backoff_us:float -> node ->
-  (int -> ('a, Nsql_util.Errors.t) result) ->
-  ('a, Nsql_util.Errors.t) result * int
-
 (** {1 Clusters and network transactions}
 
     Multiple nodes share one simulated network; each node has its own TMF
@@ -144,7 +132,6 @@ val create_cluster :
   ?config:Config.t -> ?volumes_per_node:int -> nodes:int -> unit -> cluster
 
 val cluster_nodes : cluster -> node array
-val cluster_registry : cluster -> Nsql_dtx.Dtx.registry
 
 (** [network_tx cluster ~home] begins a network transaction coordinated on
     node [home]; use {!Nsql_dtx.Dtx.branch} for per-node transaction ids

@@ -310,5 +310,3 @@ let write_bulk_async t ~first data =
       ~attrs:(io_attrs t ~first ~count @ [ ("done_at", Float completion) ])
       "disk_write_behind";
   completion
-
-let io_busy_until t = Array.fold_left max t.slots.(0) t.slots

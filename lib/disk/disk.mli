@@ -97,10 +97,6 @@ val read_bulk_async : t -> first:int -> count:int -> string array * float
     are applied immediately (the simulated controller owns the buffer). *)
 val write_bulk_async : t -> first:int -> string array -> float
 
-(** [io_busy_until t] is the time at which the device becomes fully idle
-    (every service channel drained). *)
-val io_busy_until : t -> float
-
 (** {1 Fault injection} *)
 
 (** [set_fault_hook t (Some h)] consults [h] on every I/O; returning

@@ -280,8 +280,6 @@ let eval_pred row e =
 
 type assignment = { target : int; source : t }
 
-let pp_assignment ppf a = Format.fprintf ppf "#%d := %a" a.target pp a.source
-
 let apply_assignments row assignments =
   let updated = Array.copy row in
   List.iter (fun a -> updated.(a.target) <- eval row a.source) assignments;

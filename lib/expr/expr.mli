@@ -81,8 +81,6 @@ val like_match : pattern:string -> string -> bool
 (** An assignment [SET field := expr], evaluated against the old record. *)
 type assignment = { target : int; source : t }
 
-val pp_assignment : Format.formatter -> assignment -> unit
-
 (** [apply_assignments row assignments] builds the updated row; all sources
     are evaluated against the {e old} row, as in SQL. *)
 val apply_assignments : Nsql_row.Row.row -> assignment list -> Nsql_row.Row.row

@@ -248,12 +248,6 @@ let restore t entries =
           Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_locks 1)
     entries
 
-let holders t ~file res =
-  let ft = file_table t file in
-  let iv = interval res in
-  List.sort_uniq compare
-    (List.map (fun e -> e.e_tx) (overlapping ft res iv))
-
 module Waitgraph = struct
   type g = (int, int list) Hashtbl.t
 

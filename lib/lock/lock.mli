@@ -19,15 +19,11 @@
 
 type mode = Shared | Exclusive
 
-val pp_mode : Format.formatter -> mode -> unit
-
 type resource =
   | File
   | Record of string  (** encoded primary key *)
   | Generic of string  (** encoded key prefix *)
   | Range of string * string  (** [lo, hi) in encoded-key space *)
-
-val pp_resource : Format.formatter -> resource -> unit
 
 type outcome = Granted | Blocked of int list  (** blocking transaction ids *)
 
@@ -54,10 +50,6 @@ val held : t -> tx:int -> int
 
 (** [total_locks t] is the total number of granted locks (for tests). *)
 val total_locks : t -> int
-
-(** [holders t ~file resource] lists transactions whose locks overlap
-    [resource] (any mode). *)
-val holders : t -> file:int -> resource -> int list
 
 (** [set_grant_hook t hook] registers an observer called on every new grant
     and on every actual Shared-to-Exclusive upgrade (no-op re-grants are not

@@ -25,24 +25,7 @@ val set_slice_us : Nsql_sim.Sim.t -> float -> unit
 val observe : Nsql_sim.Sim.t -> string -> float -> unit
 (** Record a duration into a named latency histogram. *)
 
-(** {2 Per-statement decomposition} *)
-
-type stmt_mark
-
-val stmt_begin : Nsql_sim.Sim.t -> stmt_mark option
-(** Snapshot the clock and per-category totals; [None] when disabled
-    (the usual one-branch guard). *)
-
-val stmt_end : Nsql_sim.Sim.t -> stmt_mark option -> name:string -> unit
-(** Record the statement: its category deltas sum to the [Sim.now]
-    delta exactly, and its elapsed time feeds the "stmt" histogram. *)
-
 (** {2 Rendering} *)
-
-val pp_us : Format.formatter -> float -> unit
-
-val sparkline : ?width:int -> Hist.t -> string
-(** The histogram's non-empty bucket range as unicode block heights. *)
 
 val pp_report : Format.formatter -> Nsql_sim.Sim.t -> unit
 (** The [\monitor] view: where-time-goes table, busy fractions, gauges,

@@ -73,7 +73,6 @@ let register t ~name ~processor ?backup handler =
 
 let set_handler e h = e.handler <- h
 
-let endpoint_name e = e.name
 let endpoint_processor e = e.processor
 
 let lookup t name = Hashtbl.find_opt t.endpoints name

@@ -14,8 +14,6 @@
 
 type processor = { node : int; cpu : int }
 
-val pp_processor : Format.formatter -> processor -> unit
-
 type system
 
 type endpoint
@@ -60,7 +58,6 @@ val register :
     construction cycle between a server and its message system). *)
 val set_handler : endpoint -> (string -> string) -> unit
 
-val endpoint_name : endpoint -> string
 val endpoint_processor : endpoint -> processor
 val endpoint_backup : endpoint -> processor option
 

@@ -61,22 +61,6 @@ let field_number s name =
   in
   go 0
 
-let pp_schema ppf s =
-  Format.fprintf ppf "@[<hv 2>(";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf ppf ",@ ";
-      Format.fprintf ppf "%s %a%s" c.col_name pp_col_type c.col_type
-        (if c.nullable then "" else " NOT NULL"))
-    s.cols;
-  Format.fprintf ppf ")@ KEY(";
-  Array.iteri
-    (fun i k ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Format.pp_print_string ppf s.cols.(k).col_name)
-    s.key_cols;
-  Format.fprintf ppf ")@]"
-
 type value = Null | Vint of int | Vfloat of float | Vbool of bool | Vstr of string
 
 type row = value array
@@ -406,9 +390,6 @@ let key_of_values s vs =
         end
   in
   go [] 0 vs
-
-let key_schema s =
-  Array.to_list (Array.map (fun i -> s.cols.(i).col_type) s.key_cols)
 
 let project row fields = Array.map (fun i -> row.(i)) fields
 

@@ -35,8 +35,6 @@ val column : ?nullable:bool -> string -> col_type -> column
 (** [field_number s name] is the field number of column [name]. *)
 val field_number : schema -> string -> (int, Nsql_util.Errors.t) result
 
-val pp_schema : Format.formatter -> schema -> unit
-
 (** {1 Values and rows} *)
 
 type value = Null | Vint of int | Vfloat of float | Vbool of bool | Vstr of string
@@ -52,10 +50,6 @@ val equal_row : row -> row -> bool
     sorts below everything. Cross-type comparison of numerics coerces int
     to float. *)
 val compare_value : value -> value -> int
-
-(** [value_matches_type v ty] checks a value against a column type
-    (including width limits). *)
-val value_matches_type : value -> col_type -> bool
 
 (** [validate s row] checks arity, types, widths, and nullability. *)
 val validate : schema -> row -> (unit, Nsql_util.Errors.t) result
@@ -138,9 +132,6 @@ val key_of_row : schema -> row -> string
     columns' types. A prefix of the key columns is allowed (for generic
     positioning). *)
 val key_of_values : schema -> value list -> (string, Nsql_util.Errors.t) result
-
-(** [key_schema s] is the list of key column types, in key order. *)
-val key_schema : schema -> col_type list
 
 (** {1 Projection} *)
 

@@ -9,13 +9,8 @@
 
 type t
 
-val n_buckets : int
-
 val bucket_of : float -> int
 (** Bucket index a value falls in; pure function of the value. *)
-
-val edge_hi : int -> float
-(** Inclusive upper edge of a bucket. *)
 
 val create : unit -> t
 val record : t -> float -> unit

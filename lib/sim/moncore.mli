@@ -29,7 +29,6 @@ val cat_names : string array
     it reads the depth as of the last disk interaction. *)
 type gauge = G_outstanding | G_parked | G_locks | G_diskq
 
-val n_gauges : int
 val gauge_index : gauge -> int
 val gauge_names : string array
 
@@ -38,7 +37,6 @@ val gauge_names : string array
     so overlapped service can exceed the slice length. *)
 type res = R_dp | R_disk
 
-val n_res : int
 val res_index : res -> int
 val res_names : string array
 

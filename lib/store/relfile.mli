@@ -14,9 +14,6 @@ val create :
 val name : t -> string
 val slot_size : t -> int
 
-(** [slot_count t] is the number of allocated slots (occupied or not). *)
-val slot_count : t -> int
-
 (** [record_count t] is the number of occupied slots. *)
 val record_count : t -> int
 

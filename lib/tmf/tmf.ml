@@ -130,12 +130,6 @@ let abort t ~tx =
       Sim.tick t.sim 20;
       Ok ()
 
-let active_count t =
-  List.length
-    (List.filter
-       (fun (_, e) -> e.tx_state = Active)
-       (Nsql_util.Tbl.sorted_bindings t.table))
-
 let run t f =
   let tx = begin_tx t in
   match f tx with

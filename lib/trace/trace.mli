@@ -52,16 +52,6 @@ val begin_span :
     diff. Idempotent; [None] is a no-op. *)
 val finish : Nsql_sim.Sim.t -> h -> unit
 
-(** [with_span sim name f] wraps [f] in a span, finishing on any exit. *)
-val with_span :
-  Nsql_sim.Sim.t ->
-  ?tid:int ->
-  ?cat:string ->
-  ?attrs:(string * value) list ->
-  string ->
-  (unit -> 'a) ->
-  'a
-
 (** Zero-duration event (cache hit, lock wait, SCB reuse). *)
 val instant :
   Nsql_sim.Sim.t ->
@@ -104,10 +94,6 @@ val attr : Nsql_sim.Tracer.span -> string -> value option
     [Nsql_monitor.Monitor.chrome_counters]) after the span events. *)
 val chrome_json :
   ?counters:string list -> Nsql_sim.Tracer.span list list -> string
-
-(** Default category filter for {!pp_profile}: statement, operator, file
-    system and partition-leg spans. *)
-val profile_cats : string list
 
 (** [pp_profile ppf spans] renders the operator tree with per-span
     simulated µs and counter deltas (messages, bytes, re-drives, cache
