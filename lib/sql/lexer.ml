@@ -41,6 +41,11 @@ let tokenize src =
   let error = ref None in
   let i = ref 0 in
   let push t = tokens := t :: !tokens in
+  let push_float lit =
+    match float_of_string lit with
+    | f -> push (T_float f)
+    | exception Failure _ -> error := Some ("malformed numeric literal " ^ lit)
+  in
   while !error = None && !i < n do
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
@@ -57,34 +62,30 @@ let tokenize src =
     end
     else if is_digit c then begin
       let start = !i in
-      let exponent () =
+      while !i < n && is_digit src.[!i] do incr i done;
+      if !i < n && src.[!i] = '.' && !i + 1 < n && is_digit src.[!i + 1] then begin
+        incr i;
+        while !i < n && is_digit src.[!i] do incr i done;
+        (if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
+           incr i;
+           if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
+           while !i < n && is_digit src.[!i] do incr i done
+         end);
+        push_float (String.sub src start (!i - start))
+      end
+      else if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
         incr i;
         if !i < n && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-        while !i < n && is_digit src.[!i] do incr i done
-      in
-      while !i < n && is_digit src.[!i] do incr i done;
-      let float =
-        if !i < n && src.[!i] = '.' && !i + 1 < n && is_digit src.[!i + 1] then begin
-          incr i;
-          while !i < n && is_digit src.[!i] do incr i done;
-          if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then exponent ();
-          true
-        end
-        else if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-          exponent ();
-          true
-        end
-        else false
-      in
-      let lit = String.sub src start (!i - start) in
-      if float then
-        match float_of_string_opt lit with
-        | Some f -> push (T_float f)
-        | None -> error := Some ("malformed numeric literal " ^ lit)
-      else
-        match int_of_string_opt lit with
-        | Some v -> push (T_int v)
-        | None -> error := Some ("integer literal " ^ lit ^ " out of range")
+        while !i < n && is_digit src.[!i] do incr i done;
+        push_float (String.sub src start (!i - start))
+      end
+      else begin
+        let lit = String.sub src start (!i - start) in
+        match int_of_string lit with
+        | v -> push (T_int v)
+        | exception Failure _ ->
+            error := Some ("integer literal " ^ lit ^ " out of range")
+      end
     end
     else if c = '\'' then begin
       let buf = Buffer.create 16 in
