@@ -1737,19 +1737,19 @@ let e22_batched_executor () =
   (* the first execution warms the cache *)
   ignore (N.exec_exn s sql);
   let sim = N.sim node in
-  let _, d_bat = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
+  let _, delta = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
   (* one traced run for the per-operator span profile *)
   Trace.clear sim;
   Trace.set_enabled sim true;
   ignore (N.exec_exn s sql);
   Trace.set_enabled sim false;
-  let sp_bat = Trace.take sim in
+  let spans = Trace.take sim in
   (* host-CPU throughput over repeated executions of the same query *)
   let h0 = Sys.time () in
   for _ = 1 to reps do
     ignore (N.exec_exn s sql)
   done;
-  let rps_bat = float_of_int (reps * rows) /. (Sys.time () -. h0) in
+  let rps = float_of_int (reps * rows) /. (Sys.time () -. h0) in
   (* the operator chain, from the planner's descriptor API *)
   printf "operator chain (planner descriptors):@.";
   let chain_node = N.create_node ~volumes:1 () in
@@ -1765,13 +1765,13 @@ let e22_batched_executor () =
   | _ -> assert false);
   printf "@.per-operator span profile:@.%a@."
     (fun ppf l -> Trace.pp_profile ~cats:[ "op" ] ppf l)
-    sp_bat;
+    spans;
   let rows_per_batch =
-    float_of_int d_bat.Stats.exec_rows /. float_of_int d_bat.Stats.exec_batches
+    float_of_int delta.Stats.exec_rows /. float_of_int delta.Stats.exec_batches
   in
   printf "%10s %12s %10s %12s@." "messages" "reply bytes" "batches" "records/s";
-  printf "%10d %12d %10d %12.0f@." d_bat.Stats.msgs_sent
-    d_bat.Stats.msg_reply_bytes d_bat.Stats.exec_batches rps_bat;
+  printf "%10d %12d %10d %12.0f@." delta.Stats.msgs_sent
+    delta.Stats.msg_reply_bytes delta.Stats.exec_batches rps;
   printf "@.%.1f rows per batch@." rows_per_batch;
   (* --- operator-pipeline throughput --------------------------------- *)
   (* Batching targets the per-record cost inside the executor's operator
@@ -1971,7 +1971,7 @@ let e22_batched_executor () =
      (scan-drain→filter→project→aggregate, %d rows):@."
     rows;
   printf "%-22s %14s@." "shape" "records/s";
-  printf "%-22s %14.0f@." "per-row (pull)" pipe_pull;
+  printf "%-22s %14.0f@." "row-at-a-time" pipe_pull;
   printf "%-22s %14.0f@." "batched" pipe_bat;
   printf "operator-pipeline speedup: %.2fx records/s@." pipe_speedup;
   (* regression floor: kept below the ~2x typically measured so host
@@ -1980,10 +1980,10 @@ let e22_batched_executor () =
   assert (pipe_speedup >= 1.5);
   (* host-dependent throughput is printed, not emitted: the smoke diff
      compares the JSON byte-for-byte, so only deterministic values go in *)
-  emit "e22" "messages" (float_of_int d_bat.Stats.msgs_sent);
-  emit "e22" "reply_bytes" (float_of_int d_bat.Stats.msg_reply_bytes);
-  emit "e22" "batches" (float_of_int d_bat.Stats.exec_batches);
-  emit "e22" "batch_rows" (float_of_int d_bat.Stats.exec_rows);
+  emit "e22" "messages" (float_of_int delta.Stats.msgs_sent);
+  emit "e22" "reply_bytes" (float_of_int delta.Stats.msg_reply_bytes);
+  emit "e22" "batches" (float_of_int delta.Stats.exec_batches);
+  emit "e22" "batch_rows" (float_of_int delta.Stats.exec_rows);
   emit "e22" "rows_per_batch" rows_per_batch
 
 (* ------------------------------------------------------------------ *)

@@ -252,6 +252,8 @@ val scan_next_batch :
 val scan_next_entry :
   t -> scan -> ((string * string) option, Nsql_util.Errors.t) result
 
+(** [close_scan t scan] releases the scan's SCBs and trace span; the scan
+    yields nothing more. Idempotent. *)
 val close_scan : t -> scan -> unit
 
 (** [update_subset t file ~tx ~range ?pred assignments] delegates a

@@ -9,8 +9,10 @@ type t = {
   dp_prefetch : bool;
   fs_fanout : bool;
       (** drive partitioned files with overlapped (nowait) requests; when
-          false the File System falls back to the blocking one-partition-
-          at-a-time driver (the pre-nowait behaviour, kept for A/B runs) *)
+          false the File System uses the blocking one-partition-at-a-time
+          driver, which single-partition and record-at-a-time scans use
+          either way: it sends a partition's next request only once the
+          previous reply has been consumed *)
   dp_lock_wait : bool;
       (** park a blocked point request on a DP-side FIFO wait queue (with
           deadlock detection) instead of answering with an immediate

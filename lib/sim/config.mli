@@ -21,7 +21,9 @@ type t = {
   fs_fanout : bool;
       (** drive partitioned files with overlapped (nowait) requests; when
           false the File System uses the blocking one-partition-at-a-time
-          driver (the pre-nowait behaviour, kept for A/B comparison) *)
+          driver, which single-partition and record-at-a-time scans use
+          either way: it sends a partition's next request only once the
+          previous reply has been consumed *)
   dp_lock_wait : bool;
       (** park a blocked point request on a DP-side FIFO wait queue (with
           deadlock detection and a {!lock_wait_timeout_us} budget) instead

@@ -27,9 +27,9 @@ let pp_rowset ppf rs =
 
 (* Operators consume and emit row batches; each batch is one FS-DP reply
    buffer. Per-row CPU charges are applied once per batch in aggregate
-   where the interleaved work is pure OCaml, and per row, before the
-   message, where a per-row message follows (keyed joins, index base
-   reads): see [Fs.scan_next_batch] for the contract. *)
+   where the interleaved work is pure OCaml, and per row, before each
+   message, where a per-row message follows (index base reads): see
+   [Fs.scan_next_batch] for the contract. *)
 
 (* a traced operator span around [f]: [f] gets a [note] for attributes
    known only once the operator has run *)

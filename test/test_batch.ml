@@ -89,9 +89,9 @@ let run_sql node sql =
   | N.Rows { rows; _ } -> rows
   | _ -> Alcotest.fail ("not a rowset: " ^ sql)
 
-(* seeds whose generated SELECT takes shapes 0 to 7 in turn, over a
-   residual filter, an index equality, a key range, an OR, no WHERE and a
-   conjunction *)
+(* seeds whose generated SELECT takes shapes 0 to 7 in turn; their WHERE
+   clauses are a residual filter, key ranges, an OR, none, a conjunction
+   and an index equality *)
 let select_seeds = [ 5; 17; 10; 2; 20; 21; 6; 22 ]
 
 let select_scenario ~chaos seed =
