@@ -751,6 +751,9 @@ let op_entry_read t ~file ~tx ~addr =
 
 (* --- set-oriented scans ---------------------------------------------------- *)
 
+(* the scans read each record in place in its cached leaf *)
+module Page = Nsql_store.Page
+
 (* The columns one scan request decodes into its scratch row: [examine]
    from every record it examines (the predicate's fields), [select] from
    each record it selects (a read scan's projection, or an aggregate's
@@ -892,41 +895,45 @@ let maybe_prefetch t scb block =
    bound, pre-fetch on entering each leaf, count and charge every record
    examined, and stop at the record limit or the processor-time slice,
    probing whether the subset has [more]. [stop_at_block blk] ends the
-   request (with [more]) before a record in leaf [blk]; [visit key record]
-   does the scan's own per-record work and answers whether its reply is
-   full. One virtual-block range lock then covers the span examined,
-   replacing per-record locks, and [reply last_key more] builds the reply
-   once it is granted. *)
+   request (with [more]) before a record in leaf [blk]; [visit leaf i]
+   does the scan's own per-record work on entry [i] of the cached leaf,
+   read in place, and answers whether its reply is full. One
+   virtual-block range lock then covers the span examined, replacing
+   per-record locks, and [reply last_key more] builds the reply once it
+   is granted. The last key examined is copied out of its leaf once, for
+   that lock and the reply. *)
 let scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
     ~reply =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let ticks0 = s.Stats.cpu_ticks in
   let examined = ref 0 in
-  let last_key = ref from_key in
+  (* the leaf and index of the last record examined *)
+  let last_leaf = ref None in
+  let last_idx = ref 0 in
   let more = ref false in
   let stop = ref false in
   let cursor = ref (Btree.seek b from_key) in
   while not !stop do
-    match Btree.cursor_entry b !cursor with
+    match Btree.cursor_leaf b !cursor with
     | None -> stop := true
-    | Some (key, record) ->
-        if Keycode.compare_keys key scb.scb_hi >= 0 then stop := true
+    | Some leaf as at ->
+        let i = Btree.cursor_index !cursor in
+        if Page.compare_key leaf i scb.scb_hi >= 0 then stop := true
         else begin
-          (match Btree.cursor_block !cursor with
-          | Some blk ->
-              if stop_at_block blk then begin
-                stop := true;
-                more := true
-              end
-              else maybe_prefetch t scb blk
-          | None -> ());
+          let blk = Btree.cursor_block !cursor in
+          if stop_at_block blk then begin
+            stop := true;
+            more := true
+          end
+          else maybe_prefetch t scb blk;
           if not !stop then begin
             incr examined;
             s.Stats.records_read <- s.Stats.records_read + 1;
             Sim.tick t.sim 15;
-            let full = visit key record in
-            last_key := key;
+            let full = visit leaf i in
+            last_leaf := at;
+            last_idx := i;
             cursor := Btree.advance b !cursor;
             (* re-drive triggers: full reply, record limit, or the
                processor-time slice *)
@@ -936,25 +943,30 @@ let scan_subset t ~tx f b scb scb_id ~from_key ~lock ~stop_at_block ~visit
               || s.Stats.cpu_ticks - ticks0 >= cfg.Config.dp_ticks_per_request
             then begin
               stop := true;
-              more := Btree.cursor_entry b !cursor <> None
+              more := Btree.cursor_leaf b !cursor <> None
             end
           end
         end
   done;
+  let last_key =
+    match !last_leaf with
+    | Some leaf -> Page.leaf_key leaf !last_idx
+    | None -> from_key
+  in
   let lock_outcome =
     match lock_of_mode lock with
     | None -> Ok ()
     | Some mode ->
-        if Keycode.compare_keys from_key !last_key <= 0 && !examined > 0 then
+        if Keycode.compare_keys from_key last_key <= 0 && !examined > 0 then
           try_lock t ~tx ~file:f.f_id
-            (Lock.Range (from_key, Keycode.successor !last_key))
+            (Lock.Range (from_key, Keycode.successor last_key))
             mode
         else Ok ()
   in
   match lock_outcome with
   | Error blockers ->
       Rp_blocked { blockers; processed = 0; last_key = from_key; scb = scb_id }
-  | Ok () -> reply !last_key !more
+  | Ok () -> reply last_key !more
 
 (* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. The
    predicate reads a scratch row that holds only the columns it names;
@@ -984,12 +996,14 @@ let run_read_scan t ~tx f scb scb_id cols ~from_key =
         if !first_block < 0 then first_block := blk;
         buffering = B_rsbb && blk <> !first_block
       in
-      let visit key record =
+      let visit leaf i =
+        let img = Page.leaf_block leaf in
+        let pos = Page.record_pos leaf i and len = Page.record_len leaf i in
         let selected =
           match (pred, cols) with
           | None, _ -> true
           | Some p, Some c ->
-              Row.decode_into_exn c.schema c.examine record scratch;
+              Row.decode_into_exn c.schema c.examine img ~pos ~len scratch;
               Sim.tick t.sim (2 * Expr.size p);
               Expr.eval_pred scratch p
           | Some _, None ->
@@ -1001,15 +1015,20 @@ let run_read_scan t ~tx f scb scb_id cols ~from_key =
               let row =
                 match proj with
                 | Some fields ->
-                    Row.decode_into_exn c.schema c.select record scratch;
+                    Row.decode_into_exn c.schema c.select img ~pos ~len scratch;
                     Row.project scratch fields
-                | None -> Row.decode_exn c.schema record
+                | None ->
+                    let row = Array.make (Array.length c.schema.Row.cols) Row.Null in
+                    Row.decode_into_exn c.schema Row.all_columns img ~pos ~len
+                      row;
+                    row
               in
               reply_bytes := !reply_bytes + Row.values_size row;
               rows := row :: !rows
           | B_vsbb, None | B_rsbb, _ ->
-              reply_bytes := !reply_bytes + String.length key + String.length record;
-              entries := (key, record) :: !entries);
+              let key = Page.leaf_key leaf i in
+              reply_bytes := !reply_bytes + String.length key + len;
+              entries := (key, Page.leaf_record leaf i) :: !entries);
           incr out_count;
           s.Stats.records_returned <- s.Stats.records_returned + 1;
           Sim.tick t.sim 10
@@ -1057,17 +1076,19 @@ let run_agg_scan t ~tx f scb scb_id cols ~from_key =
       let feeders = List.map feeder aggs in
       (* one writer per request encodes each selected record's group key *)
       let w = Nsql_util.Codec.writer () in
-      let visit _key record =
+      let visit leaf i =
+        let img = Page.leaf_block leaf in
+        let pos = Page.record_pos leaf i and len = Page.record_len leaf i in
         let selected =
           match pred with
           | None -> true
           | Some p ->
-              Row.decode_into_exn c.schema c.examine record scratch;
+              Row.decode_into_exn c.schema c.examine img ~pos ~len scratch;
               Sim.tick t.sim (2 * Expr.size p);
               Expr.eval_pred scratch p
         in
         if selected then begin
-          Row.decode_into_exn c.schema c.select record scratch;
+          Row.decode_into_exn c.schema c.select img ~pos ~len scratch;
           Nsql_util.Codec.reset w;
           Row.encode_fields w scratch group_keys;
           let gk = Nsql_util.Codec.contents w in
@@ -1131,10 +1152,11 @@ let run_write_scan t ~tx f scb scb_id cols ~from_key ~inclusive =
     | Scb_read _ | Scb_agg _ -> invalid_arg "Dp.run_write_scan: read SCB"
   in
   (* the update needs the whole before-image, so a selected record is
-     decoded in full into a fresh row *)
-  let apply_one key record =
+     copied out of its leaf and decoded in full into a fresh row *)
+  let apply_one key leaf i =
     match action with
     | `Update assignments ->
+        let record = Page.leaf_record leaf i in
         let row = Row.decode_exn schema record in
         let after_row = Expr.apply_assignments row assignments in
         Sim.tick t.sim
@@ -1166,14 +1188,16 @@ let run_write_scan t ~tx f scb scb_id cols ~from_key ~inclusive =
   let continue_ = ref true in
   while !continue_ do
     let cursor = Btree.seek b !next_seek in
-    match Btree.cursor_entry b cursor with
+    match Btree.cursor_leaf b cursor with
     | None -> continue_ := false
-    | Some (key, record) ->
-        if Keycode.compare_keys key scb.scb_hi >= 0 then continue_ := false
+    | Some leaf ->
+        let i = Btree.cursor_index cursor in
+        if Page.compare_key leaf i scb.scb_hi >= 0 then continue_ := false
         else begin
-          (match Btree.cursor_block cursor with
-          | Some blk -> maybe_prefetch t scb blk
-          | None -> ());
+          (* every record examined is re-sought by its key, since an
+             applied change invalidates the cursor *)
+          let key = Page.leaf_key leaf i in
+          maybe_prefetch t scb (Btree.cursor_block cursor);
           incr examined;
           s.Stats.records_read <- s.Stats.records_read + 1;
           Sim.tick t.sim 15;
@@ -1181,7 +1205,9 @@ let run_write_scan t ~tx f scb scb_id cols ~from_key ~inclusive =
             match pred with
             | None -> true
             | Some p ->
-                Row.decode_into_exn schema c.examine record scratch;
+                Row.decode_into_exn schema c.examine (Page.leaf_block leaf)
+                  ~pos:(Page.record_pos leaf i) ~len:(Page.record_len leaf i)
+                  scratch;
                 Sim.tick t.sim (2 * Expr.size p);
                 Expr.eval_pred scratch p
           in
@@ -1200,7 +1226,7 @@ let run_write_scan t ~tx f scb scb_id cols ~from_key ~inclusive =
                        });
                 continue_ := false
             | Ok () -> (
-                match apply_one key record with
+                match apply_one key leaf i with
                 | Ok () ->
                     incr processed;
                     last_done := key;

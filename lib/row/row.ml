@@ -195,6 +195,8 @@ let skip_field r ty =
 
 type colset = All | Cols of { wanted : bool array; last : int }
 
+let all_columns = All
+
 let no_cols = Cols { wanted = [||]; last = -1 }
 
 let colset s fields =
@@ -214,8 +216,9 @@ let colset s fields =
 
 let truncated () = fail (Internal "Row.decode: truncated record image")
 
-let is_null img i =
-  Char.code (String.unsafe_get img (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let is_null img pos i =
+  Char.code (String.unsafe_get img (pos + (i lsr 3))) land (1 lsl (i land 7))
+  <> 0
 
 (* The one field loop. The null bitmap is read in place from the record
    image and fields follow it; a null field has no bytes. The loop walks
@@ -223,35 +226,37 @@ let is_null img i =
    [row] and skipping the others, so an unwanted string is never built.
    A wanted null field must be written as [Null]: [row] may be a scratch
    row that still holds the previous record's value. *)
-let decode_into s cs img row =
+let decode_into s cs img ~pos ~len row =
   let cols = s.cols in
   let n = Array.length cols in
   let nbytes = (n + 7) / 8 in
   let last = match cs with All -> n - 1 | Cols c -> c.last in
   try
-    (* skipping the bitmap checks that the image holds it, and avoids
-       the option [Codec.reader ~pos] would allocate *)
-    let r = Codec.reader img in
+    (* the reader stops at the record's end, wherever [img] goes on;
+       skipping the bitmap checks that the record holds it *)
+    let r = Codec.sub_reader img ~pos ~len in
     Codec.skip r nbytes;
     for i = 0 to last do
       let wanted = match cs with All -> true | Cols c -> c.wanted.(i) in
       if wanted then begin
-        if is_null img i then row.(i) <- Null
+        if is_null img pos i then row.(i) <- Null
         else row.(i) <- decode_field r cols.(i).col_type
       end
-      else if not (is_null img i) then skip_field r cols.(i).col_type
+      else if not (is_null img pos i) then skip_field r cols.(i).col_type
     done;
     Ok ()
   with Codec.Truncated -> truncated ()
 
-let decode_into_exn s cs img row =
-  match decode_into s cs img row with
+let decode_into_exn s cs img ~pos ~len row =
+  match decode_into s cs img ~pos ~len row with
   | Ok () -> ()
   | Error e -> failwith ("Row.decode_into_exn: " ^ Errors.to_string e)
 
 let decode s img =
   let row = Array.make (Array.length s.cols) Null in
-  match decode_into s All img row with Ok () -> Ok row | Error e -> Error e
+  match decode_into s All img ~pos:0 ~len:(String.length img) row with
+  | Ok () -> Ok row
+  | Error e -> Error e
 
 let decode_exn s bytes_ =
   match decode s bytes_ with

@@ -79,18 +79,32 @@ type colset
     [Invalid_argument] if a field number is not a column of [s]. *)
 val colset : schema -> int list -> colset
 
-(** [decode_into s cs bytes row] writes each column of [cs] into
-    [row.(i)] — [Null] for a null field — and leaves every other entry of
-    [row] as it was. It walks the image only up to the last column of
-    [cs], skipping unwanted fields without building their values. [row]
-    must have a slot per column of [s], and [cs] must come from [s]. A
-    truncated image is an [Internal] error when the walk reaches the cut
-    (always when the cut is inside the null bitmap). *)
+(** [all_columns] is every column of any schema. *)
+val all_columns : colset
+
+(** [decode_into s cs img ~pos ~len row] decodes the record image held
+    in the [len] bytes of [img] from offset [pos] — the whole of [img],
+    or one record inside a cached block. It writes each column of [cs]
+    into [row.(i)] — [Null] for a null field — and leaves every other
+    entry of [row] as it was. It walks the image only up to the last
+    column of [cs], skipping unwanted fields without building their
+    values, and never reads past [pos + len]. [row] must have a slot per
+    column of [s], and [cs] must come from [s]. A truncated image is an
+    [Internal] error when the walk reaches the cut (always when the cut
+    is inside the null bitmap), whatever bytes follow the cut in [img].
+    Raises [Invalid_argument] if the range is not inside [img]. *)
 val decode_into :
-  schema -> colset -> string -> row -> (unit, Nsql_util.Errors.t) result
+  schema ->
+  colset ->
+  string ->
+  pos:int ->
+  len:int ->
+  row ->
+  (unit, Nsql_util.Errors.t) result
 
 (** [decode_into_exn] is {!decode_into} for trusted images. *)
-val decode_into_exn : schema -> colset -> string -> row -> unit
+val decode_into_exn :
+  schema -> colset -> string -> pos:int -> len:int -> row -> unit
 
 (** [encoded_size s row] is [String.length (encode s row)] without building
     the string. *)

@@ -15,16 +15,15 @@ type t = {
 
 let alloc_block t = Disk.allocate (Cache.disk t.cache) 1
 
-(* Each resident frame keeps its decoded page, so a page is decoded once
-   per residency instead of once per access; the cache drops the view
-   whenever the frame's bytes change. Page.t is immutable, so sharing the
-   view between readers is safe. *)
-type Cache.view += Page_view of Page.t
+(* Each resident frame keeps its page view, built once per residency
+   instead of once per access: a leaf is its block plus the offset of each
+   entry, read in place, and a node is decoded. The cache drops the view
+   whenever the frame's bytes change. A view is immutable, so sharing it
+   between readers is safe. *)
+type Cache.view += Page_view of Page.view
 
 let read_page t block =
-  match
-    Cache.read_view t.cache block (fun data -> Page_view (Page.decode data))
-  with
+  match Cache.read_view t.cache block (fun data -> Page_view (Page.view data)) with
   | Page_view p -> p
   | _ -> invalid_arg "Btree.read_page: block holds a foreign view"
 
@@ -48,26 +47,29 @@ let root_block t = t.root
 
 (* --- descent ----------------------------------------------------------- *)
 
-(* Returns the leaf page and the path of internal nodes visited:
-   [(block, child0, entries)] outermost first. *)
+(* Returns the leaf's block and view and the path of internal nodes
+   visited: [(block, child0, entries)] outermost first. *)
 let rec descend t block path key =
   Sim.tick t.sim 10;
   match read_page t block with
-  | Page.Leaf { entries; next } -> (block, entries, next, List.rev path)
-  | Page.Node { child0; entries } ->
+  | Page.Leaf_view l -> (block, l, List.rev path)
+  | Page.Node_view { child0; entries } ->
       let child = Page.find_child entries child0 key in
       descend t child ((block, child0, entries) :: path) key
 
 let find_leaf t key = descend t t.root [] key
 
-let lookup t key =
-  let _, entries, _, _ = find_leaf t key in
-  let pos = Page.find_leaf_pos entries key in
-  if pos < Array.length entries then begin
-    let k, r = entries.(pos) in
-    if String.equal k key then Some r else None
-  end
+(* the index of [key] in [l], if present *)
+let find_key l key =
+  let pos = Page.leaf_find l key in
+  if pos < Page.leaf_count l && Page.key_equal l pos key then Some pos
   else None
+
+let lookup t key =
+  let _, l, _ = find_leaf t key in
+  match find_key l key with
+  | Some pos -> Some (Page.leaf_record l pos)
+  | None -> None
 
 (* --- array edits -------------------------------------------------------- *)
 
@@ -75,10 +77,6 @@ let array_insert arr pos x =
   let n = Array.length arr in
   Array.init (n + 1) (fun i ->
       if i < pos then arr.(i) else if i = pos then x else arr.(i - 1))
-
-let array_remove arr pos =
-  let n = Array.length arr in
-  Array.init (n - 1) (fun i -> if i < pos then arr.(i) else arr.(i + 1))
 
 (* --- splits -------------------------------------------------------------- *)
 
@@ -112,7 +110,7 @@ let rec insert_into_parent t path sep right_block ~lsn =
       else begin
         (* split the node: the middle separator moves up *)
         let n = Array.length entries' in
-        let mid = n / 2 in
+        let mid = Page.split_cut ~block_size:t.block_size page (n / 2) in
         let promoted, right_child0 = entries'.(mid) in
         let left_entries = Array.sub entries' 0 mid in
         let right_entries = Array.sub entries' (mid + 1) (n - mid - 1) in
@@ -129,7 +127,11 @@ let split_leaf t block (l : (string * string) array) next path ~lsn ~rightmost =
   (* splitting an always-ascending (rightmost) insert half-and-half would
      leave every leaf half full; peeling off just the new entry keeps
      sequentially loaded files dense, as production B-trees do *)
-  let mid = if rightmost then n - 1 else n / 2 in
+  let mid =
+    Page.split_cut ~block_size:t.block_size
+      (Page.Leaf { entries = l; next })
+      (if rightmost then n - 1 else n / 2)
+  in
   let left_entries = Array.sub l 0 mid in
   let right_entries = Array.sub l mid (n - mid) in
   let right = alloc_block t in
@@ -140,15 +142,14 @@ let split_leaf t block (l : (string * string) array) next path ~lsn ~rightmost =
 
 (* --- mutations ------------------------------------------------------------ *)
 
+(* An edit that still fits splices the one entry into a copy of the leaf's
+   block; only an edit that overflows it decodes the entries, to split
+   them. *)
+
 let max_record_size t = (t.block_size - 16) / 2 - 8
 
 let record_fits t ~key ~record =
   Page.leaf_entry_size key record <= max_record_size t
-
-let store_leaf t block entries next path ~lsn ?(rightmost = false) () =
-  let page = Page.Leaf { entries; next } in
-  if Page.size page <= t.block_size then write_page t block page ~lsn
-  else split_leaf t block entries next path ~lsn ~rightmost
 
 let insert t ~key ~record ~lsn =
   if not (record_fits t ~key ~record) then
@@ -157,38 +158,50 @@ let insert t ~key ~record ~lsn =
          (Printf.sprintf "record of %d bytes exceeds maximum"
             (String.length record)))
   else begin
-    let block, old_entries, next, path = find_leaf t key in
-    let pos = Page.find_leaf_pos old_entries key in
-    if
-      pos < Array.length old_entries
-      && String.equal (fst old_entries.(pos)) key
-    then Errors.fail (Errors.Duplicate_key key)
+    let block, l, path = find_leaf t key in
+    let pos = Page.leaf_find l key in
+    if pos < Page.leaf_count l && Page.key_equal l pos key then
+      Errors.fail (Errors.Duplicate_key key)
     else begin
       Sim.tick t.sim 10;
-      let entries = array_insert old_entries pos (key, record) in
-      (* rightmost = appending at the end of the last leaf *)
-      let rightmost = next = -1 && pos = Array.length old_entries in
-      store_leaf t block entries next path ~lsn ~rightmost ();
+      (if Page.leaf_size l + Page.leaf_entry_size key record <= t.block_size
+       then
+         Cache.write t.cache block
+           (Page.leaf_insert ~block_size:t.block_size l pos ~key ~record)
+           ~lsn
+       else
+         let next = Page.leaf_next l in
+         (* rightmost = appending at the end of the last leaf *)
+         let rightmost = next = -1 && pos = Page.leaf_count l in
+         split_leaf t block
+           (array_insert (Page.leaf_entries l) pos (key, record))
+           next path ~lsn ~rightmost);
       t.nrecords <- t.nrecords + 1;
       Ok ()
     end
   end
 
 let update t ~key ~record ~lsn =
-  let block, old_entries, next, path = find_leaf t key in
-  let pos = Page.find_leaf_pos old_entries key in
-  if
-    pos >= Array.length old_entries
-    || not (String.equal (fst old_entries.(pos)) key)
-  then Errors.fail (Errors.Not_found_key key)
-  else begin
-    Sim.tick t.sim 10;
-    let old = snd old_entries.(pos) in
-    let entries = Array.copy old_entries in
-    entries.(pos) <- (key, record);
-    store_leaf t block entries next path ~lsn ();
-    Ok old
-  end
+  let block, l, path = find_leaf t key in
+  match find_key l key with
+  | None -> Errors.fail (Errors.Not_found_key key)
+  | Some pos ->
+      Sim.tick t.sim 10;
+      let old = Page.leaf_record l pos in
+      let size =
+        Page.leaf_size l - Page.leaf_entry_size key old
+        + Page.leaf_entry_size key record
+      in
+      (if size <= t.block_size then
+         Cache.write t.cache block
+           (Page.leaf_replace ~block_size:t.block_size l pos ~record)
+           ~lsn
+       else
+         let entries = Page.leaf_entries l in
+         entries.(pos) <- (key, record);
+         split_leaf t block entries (Page.leaf_next l) path ~lsn
+           ~rightmost:false);
+      Ok old
 
 let upsert t ~key ~record ~lsn =
   match update t ~key ~record ~lsn with
@@ -200,20 +213,17 @@ let upsert t ~key ~record ~lsn =
           failwith ("Btree.upsert: " ^ Nsql_util.Errors.to_string e))
 
 let delete t ~key ~lsn =
-  let block, old_entries, next, _path = find_leaf t key in
-  let pos = Page.find_leaf_pos old_entries key in
-  if
-    pos >= Array.length old_entries
-    || not (String.equal (fst old_entries.(pos)) key)
-  then Errors.fail (Errors.Not_found_key key)
-  else begin
-    Sim.tick t.sim 10;
-    let old = snd old_entries.(pos) in
-    let entries = array_remove old_entries pos in
-    write_page t block (Page.Leaf { entries; next }) ~lsn;
-    t.nrecords <- t.nrecords - 1;
-    Ok old
-  end
+  let block, l, _path = find_leaf t key in
+  match find_key l key with
+  | None -> Errors.fail (Errors.Not_found_key key)
+  | Some pos ->
+      Sim.tick t.sim 10;
+      let old = Page.leaf_record l pos in
+      Cache.write t.cache block
+        (Page.leaf_remove ~block_size:t.block_size l pos)
+        ~lsn;
+      t.nrecords <- t.nrecords - 1;
+      Ok old
 
 (* --- bulk load -------------------------------------------------------------- *)
 
@@ -333,40 +343,49 @@ type cursor = End | At of { block : int; idx : int }
 (* normalize a position: skip past drained leaves *)
 let rec normalize t block idx =
   match read_page t block with
-  | Page.Leaf l ->
-      if idx < Array.length l.entries then At { block; idx }
-      else if l.next < 0 then End
-      else normalize t l.next 0
-  | Page.Node _ ->
+  | Page.Leaf_view l ->
+      if idx < Page.leaf_count l then At { block; idx }
+      else if Page.leaf_next l < 0 then End
+      else normalize t (Page.leaf_next l) 0
+  | Page.Node_view _ ->
       invalid_arg "Btree.cursor: position on internal node"
 
 let seek t key =
-  let block, entries, next, _ = find_leaf t key in
-  let pos = Page.find_leaf_pos entries key in
-  if pos < Array.length entries then At { block; idx = pos }
-  else if next < 0 then End
-  else normalize t next 0
+  let block, l, _ = find_leaf t key in
+  let pos = Page.leaf_find l key in
+  if pos < Page.leaf_count l then At { block; idx = pos }
+  else if Page.leaf_next l < 0 then End
+  else normalize t (Page.leaf_next l) 0
 
-let cursor_entry t = function
+let cursor_leaf t = function
   | End -> None
   | At { block; idx } -> (
       match read_page t block with
-      | Page.Leaf l when idx < Array.length l.entries -> Some l.entries.(idx)
-      | Page.Leaf _ | Page.Node _ -> None)
+      | Page.Leaf_view l when idx < Page.leaf_count l -> Some l
+      | Page.Leaf_view _ | Page.Node_view _ -> None)
+
+let cursor_index = function End -> -1 | At { idx; _ } -> idx
+
+let cursor_entry t c =
+  match cursor_leaf t c with
+  | None -> None
+  | Some l ->
+      let i = cursor_index c in
+      Some (Page.leaf_key l i, Page.leaf_record l i)
 
 let advance t = function
   | End -> End
   | At { block; idx } -> normalize t block (idx + 1)
 
-let cursor_block = function End -> None | At { block; _ } -> Some block
+let cursor_block = function End -> -1 | At { block; _ } -> block
 
 (* --- diagnostics ----------------------------------------------------------- *)
 
 let leftmost_leaf t =
   let rec go block =
     match read_page t block with
-    | Page.Leaf _ -> block
-    | Page.Node { child0; _ } -> go child0
+    | Page.Leaf_view _ -> block
+    | Page.Node_view { child0; _ } -> go child0
   in
   go t.root
 
@@ -375,8 +394,8 @@ let leaf_blocks t =
     if block < 0 then List.rev acc
     else
       match read_page t block with
-      | Page.Leaf l -> walk l.next (block :: acc)
-      | Page.Node _ -> List.rev acc
+      | Page.Leaf_view l -> walk (Page.leaf_next l) (block :: acc)
+      | Page.Node_view _ -> List.rev acc
   in
   walk (leftmost_leaf t) []
 
@@ -387,13 +406,13 @@ let check_invariants t =
     if block < 0 then Ok count
     else
       match read_page t block with
-      | Page.Node _ -> fail "leaf chain reaches internal node %d" block
-      | Page.Leaf l ->
-          let n = Array.length l.entries in
+      | Page.Node_view _ -> fail "leaf chain reaches internal node %d" block
+      | Page.Leaf_view l ->
+          let n = Page.leaf_count l in
           let rec check_sorted i last =
             if i >= n then Ok last
             else begin
-              let k, _ = l.entries.(i) in
+              let k = Page.leaf_key l i in
               match last with
               | Some lk when String.compare lk k >= 0 ->
                   fail "keys out of order in leaf %d" block
@@ -402,7 +421,7 @@ let check_invariants t =
           in
           let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
           let* last = check_sorted 0 last_key in
-          check_chain l.next last (count + n)
+          check_chain (Page.leaf_next l) last (count + n)
   in
   match check_chain (leftmost_leaf t) None 0 with
   | Error e -> Error e
@@ -416,19 +435,16 @@ let check_invariants t =
         let rec walk block =
           if !ok = Ok () then
             match read_page t block with
-            | Page.Leaf l ->
-                Array.iter
-                  (fun (k, _) ->
-                    if !ok = Ok () then begin
-                      let _, es, _, _ = find_leaf t k in
-                      let pos = Page.find_leaf_pos es k in
-                      if
-                        pos >= Array.length es
-                        || not (String.equal (fst es.(pos)) k)
-                      then ok := fail "key %S not reachable by descent" k
-                    end)
-                  l.entries
-            | Page.Node { child0; entries } ->
+            | Page.Leaf_view l ->
+                for i = 0 to Page.leaf_count l - 1 do
+                  if !ok = Ok () then begin
+                    let k = Page.leaf_key l i in
+                    let _, found, _ = find_leaf t k in
+                    if find_key found k = None then
+                      ok := fail "key %S not reachable by descent" k
+                  end
+                done
+            | Page.Node_view { child0; entries } ->
                 walk child0;
                 Array.iter (fun (_, c) -> walk c) entries
         in

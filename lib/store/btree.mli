@@ -11,7 +11,15 @@
     the volume, so physical clustering of a sequentially loaded file
     degrades as it takes random inserts — exactly the behaviour the paper
     notes for bulk I/O ("where physical clustering ... has been broken due
-    to B-tree splits, some bulk I/Os may be less than maximal length"). *)
+    to B-tree splits, some bulk I/Os may be less than maximal length").
+
+    A resident leaf is read in place ({!Page.leaf}): seeks, lookups and
+    cursors compare keys inside the cached block, and an insert, update
+    or delete that fits splices its one entry into a copy of the block.
+    Only a split and {!load_sorted} encode an entry array. A split keeps
+    its usual cut (the middle, or just the new entry at the right edge of
+    the file) whenever both halves fit, and otherwise moves the cut
+    toward the half that overflows. *)
 
 type t
 
@@ -23,7 +31,7 @@ val record_count : t -> int
 val height : t -> int
 val root_block : t -> int
 
-(** [lookup t key] returns the record image stored under [key]. *)
+(** [lookup t key] returns a copy of the record image stored under [key]. *)
 val lookup : t -> string -> string option
 
 (** [record_fits t ~key ~record] — is the entry within the size a page can
@@ -65,22 +73,33 @@ type cursor
 (** [seek t key] positions at the first entry with key [>= key]. *)
 val seek : t -> string -> cursor
 
-(** [cursor_entry t c] is the (key, record) at the cursor. *)
+(** [cursor_leaf t c] is the view of the leaf the cursor rests on, read
+    through the cache; [None] at the end. The entry is at
+    [cursor_index c] of it, read in place with the {!Page.leaf}
+    accessors. *)
+val cursor_leaf : t -> cursor -> Page.leaf option
+
+(** [cursor_index c] is the cursor's entry index in its leaf (-1 at the
+    end). *)
+val cursor_index : cursor -> int
+
+(** [cursor_entry t c] is a copy of the (key, record) at the cursor: the
+    same cache access as {!cursor_leaf}. *)
 val cursor_entry : t -> cursor -> (string * string) option
 
 (** [advance t c] moves to the next entry. *)
 val advance : t -> cursor -> cursor
 
-(** [cursor_block c] is the leaf block the cursor rests on, if any — the
-    Disk Process uses it to drive sequential pre-fetch. *)
-val cursor_block : cursor -> int option
+(** [cursor_block c] is the leaf block the cursor rests on (-1 at the
+    end) — the Disk Process uses it to drive sequential pre-fetch. *)
+val cursor_block : cursor -> int
 
 (** {1 Diagnostics} *)
 
-(** [read_page t block] is the page stored in [block], read through the
-    cache. The page is the cache frame's decoded view, shared by every
-    reader: callers must not mutate its entry arrays. *)
-val read_page : t -> int -> Page.t
+(** [read_page t block] is the view of the page stored in [block], read
+    through the cache. The view is the cache frame's, shared by every
+    reader: callers must not mutate a node's entry array. *)
+val read_page : t -> int -> Page.view
 
 (** [leaf_blocks t] lists leaf block numbers in key order. *)
 val leaf_blocks : t -> int list

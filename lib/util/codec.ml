@@ -51,11 +51,17 @@ let contents_padded b n =
   Buffer.blit b 0 out 0 (Buffer.length b);
   Bytes.unsafe_to_string out
 
-type reader = { src : string; mutable pos : int }
+(* [lim] is the offset one past the last byte the reader may consume *)
+type reader = { src : string; mutable pos : int; lim : int }
 
-let reader ?(pos = 0) src = { src; pos }
+let reader src = { src; pos = 0; lim = String.length src }
 
-let need r n = if r.pos + n > String.length r.src then raise Truncated
+let sub_reader src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length src then
+    invalid_arg "Codec.sub_reader";
+  { src; pos; lim = pos + len }
+
+let need r n = if r.pos + n > r.lim then raise Truncated
 
 let r_u8 r =
   need r 1;
@@ -128,5 +134,21 @@ let unread r n =
   r.pos <- r.pos - n
 
 let pos r = r.pos
-let remaining r = String.length r.src - r.pos
+let remaining r = r.lim - r.pos
 let at_end r = remaining r = 0
+
+(* top-level, not a local closure: comparing allocates nothing *)
+let rec compare_sub_loop s pos b i n =
+  if i = n then 0
+  else
+    let c =
+      Char.compare (String.unsafe_get s (pos + i)) (String.unsafe_get b i)
+    in
+    if c <> 0 then c else compare_sub_loop s pos b (i + 1) n
+
+let compare_sub s ~pos ~len b =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Codec.compare_sub";
+  let lb = String.length b in
+  let c = compare_sub_loop s pos b 0 (min len lb) in
+  if c <> 0 then c else Int.compare len lb

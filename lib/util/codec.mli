@@ -53,7 +53,12 @@ val contents_padded : writer -> int -> string
 type reader
 
 (** [reader s] reads from [s] starting at offset 0. *)
-val reader : ?pos:int -> string -> reader
+val reader : string -> reader
+
+(** [sub_reader s ~pos ~len] reads the [len] bytes of [s] from offset
+    [pos]: a read past [pos + len] raises {!Truncated} even where [s]
+    goes on. Raises [Invalid_argument] if the range is not inside [s]. *)
+val sub_reader : string -> pos:int -> len:int -> reader
 
 val r_u8 : reader -> int
 val r_u16 : reader -> int
@@ -89,3 +94,10 @@ val at_end : reader -> bool
 
 exception Truncated
 (** Raised by reads past the end of the input. *)
+
+(** {1 Comparison} *)
+
+(** [compare_sub s ~pos ~len b] is [String.compare (String.sub s pos len) b]
+    (its sign), without building the sub-string. Raises
+    [Invalid_argument] if the range is not inside [s]. *)
+val compare_sub : string -> pos:int -> len:int -> string -> int

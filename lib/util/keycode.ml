@@ -96,3 +96,12 @@ let compare_keys a b =
   if String.equal a high_value then if String.equal b high_value then 0 else 1
   else if String.equal b high_value then -1
   else String.compare a b
+
+let compare_keys_sub s ~pos ~len b =
+  let is_high =
+    len = String.length high_value
+    && Codec.compare_sub s ~pos ~len high_value = 0
+  in
+  if is_high then if String.equal b high_value then 0 else 1
+  else if String.equal b high_value then -1
+  else Codec.compare_sub s ~pos ~len b

@@ -50,3 +50,9 @@ val high_value : string
 (** [compare_keys a b] compares encoded keys, treating {!high_value} as
     greater than everything. *)
 val compare_keys : string -> string -> int
+
+(** [compare_keys_sub s ~pos ~len b] is
+    [compare_keys (String.sub s pos len) b] (its sign), without building
+    the sub-string: the bound check of a scan that reads its keys in
+    place. *)
+val compare_keys_sub : string -> pos:int -> len:int -> string -> int

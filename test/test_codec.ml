@@ -186,8 +186,50 @@ let contents_padded_zero_fills () =
   | _ -> Alcotest.fail "overflow accepted"
   | exception Invalid_argument _ -> ()
 
+(* The in-place comparisons answer what comparing the copied sub-string
+   would, for any placement of the key inside a larger string, including
+   the high-value sentinel and its prefixes. *)
+let compare_sub_matches =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size (int_bound 12);
+          return Keycode.high_value;
+          map
+            (fun n -> String.sub Keycode.high_value 0 n)
+            (int_bound (String.length Keycode.high_value));
+        ])
+  in
+  QCheck.Test.make ~name:"compare_sub = compare of the sub-string" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad key key (string_size (int_bound 4)) (string_size (int_bound 4))))
+    (fun (a, b, before, after) ->
+      let s = before ^ a ^ after in
+      let pos = String.length before and len = String.length a in
+      let sign x = compare x 0 in
+      sign (Codec.compare_sub s ~pos ~len b) = sign (String.compare a b)
+      && sign (Keycode.compare_keys_sub s ~pos ~len b)
+         = sign (Keycode.compare_keys a b))
+
+let sub_reader_bounded () =
+  let r = Codec.sub_reader "abcdef" ~pos:1 ~len:3 in
+  Alcotest.(check string) "reads its range" "bc" (Codec.r_raw r 2);
+  Alcotest.(check int) "remaining" 1 (Codec.remaining r);
+  (match Codec.r_raw r 2 with
+  | _ -> Alcotest.fail "read past the range"
+  | exception Codec.Truncated -> ());
+  match Codec.sub_reader "abc" ~pos:2 ~len:2 with
+  | _ -> Alcotest.fail "range outside the string accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
+    Alcotest.test_case "codec sub_reader stops at its range" `Quick
+      sub_reader_bounded;
+    QCheck_alcotest.to_alcotest compare_sub_matches;
     Alcotest.test_case "codec int roundtrip" `Quick roundtrip_ints;
     Alcotest.test_case "codec string/float/bool roundtrip" `Quick
       roundtrip_strings;

@@ -107,6 +107,34 @@ let decode_truncated () =
   Alcotest.(check bool) "cut inside a field" true
     (internal (Row.decode emp_schema (String.sub img 0 5)))
 
+(* A record inside a block is read only up to its own length: a record
+   cut short and followed by other bytes (here a whole second record) must
+   fail on a column past the cut exactly as the bare cut record does, not
+   read the bytes after it as its own. *)
+let decode_in_block_bounded () =
+  let img = Row.encode emp_schema sample in
+  let cut = 5 in
+  let block = "hdr" ^ String.sub img 0 cut ^ img in
+  let all = Row.all_columns in
+  let decode img ~pos ~len =
+    Row.decode_into emp_schema all img ~pos ~len
+      (Array.make (Array.length sample) Row.Null)
+  in
+  let internal = function
+    | Error (Nsql_util.Errors.Internal _) -> true
+    | Ok _ | Error _ -> false
+  in
+  Alcotest.(check bool) "bare cut record" true
+    (internal (decode (String.sub img 0 cut) ~pos:0 ~len:cut));
+  Alcotest.(check bool) "cut record inside a block" true
+    (internal (decode block ~pos:3 ~len:cut));
+  let whole = Array.make (Array.length sample) Row.Null in
+  Alcotest.(check bool) "the record after it decodes" true
+    (Row.decode_into emp_schema all block ~pos:(3 + cut)
+       ~len:(String.length img) whole
+     = Ok ()
+    && Row.equal_row whole sample)
+
 let value_gen =
   QCheck.Gen.(
     oneof
@@ -262,7 +290,9 @@ let decode_into_matches_decode =
       let garbage = Row.Vstr "stale" in
       let scratch = Array.make (Array.length row) garbage in
       let decoded_ok =
-        match Row.decode_into schema cs img scratch with
+        match
+          Row.decode_into schema cs img ~pos:0 ~len:(String.length img) scratch
+        with
         | Ok () -> true
         | Error _ -> false
       in
@@ -279,7 +309,7 @@ let decode_into_matches_decode =
       let must_fail = cut < field_end schema row last in
       let failed =
         match
-          Row.decode_into schema cs (String.sub img 0 cut)
+          Row.decode_into schema cs (String.sub img 0 cut) ~pos:0 ~len:cut
             (Array.make (Array.length row) garbage)
         with
         | Ok () -> false
@@ -310,10 +340,11 @@ let one_column_allocation () =
     (fun field ->
       let cs = Row.colset wisc_schema [ field ] in
       let n = 10_000 in
-      Row.decode_into_exn wisc_schema cs img scratch;
+      let len = String.length img in
+      Row.decode_into_exn wisc_schema cs img ~pos:0 ~len scratch;
       let before = Gc.minor_words () in
       for _ = 1 to n do
-        Row.decode_into_exn wisc_schema cs img scratch
+        Row.decode_into_exn wisc_schema cs img ~pos:0 ~len scratch
       done;
       let words = (Gc.minor_words () -. before) /. float_of_int n in
       Alcotest.(check bool)
@@ -334,6 +365,8 @@ let suite =
     Alcotest.test_case "field numbers" `Quick field_number;
     Alcotest.test_case "char padding stripped" `Quick char_padding_stripped;
     Alcotest.test_case "decode rejects truncated images" `Quick decode_truncated;
+    Alcotest.test_case "decode in a block stops at the record's end" `Quick
+      decode_in_block_bounded;
     QCheck_alcotest.to_alcotest compare_total_order;
     QCheck_alcotest.to_alcotest roundtrip_random;
     QCheck_alcotest.to_alcotest values_size_matches_encoding;

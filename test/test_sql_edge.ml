@@ -138,6 +138,30 @@ let unrepresentable_literals () =
       ("SELECT * FROM a WHERE k < 1e", "malformed numeric literal 1e");
     ]
 
+(* A leaf split must cut where both halves fit. Nine short rows and two
+   long ones overflow the leaf; its middle cut would leave the long rows
+   and four short ones in a right half of 4,115 bytes. *)
+let split_of_skewed_rows () =
+  let _node, s = setup () in
+  ignore (N.exec_exn s "CREATE TABLE w (k INT PRIMARY KEY, v VARCHAR(2000))");
+  List.iter
+    (fun k -> ignore (N.exec_exn s (Printf.sprintf "INSERT INTO w VALUES (%d, 's')" k)))
+    (1000 :: List.init 8 (fun i -> i + 1));
+  List.iter
+    (fun k ->
+      ignore
+        (N.exec_exn s
+           (Printf.sprintf "INSERT INTO w VALUES (%d, '%s')" k (String.make 1990 'x'))))
+    [ 9; 10 ];
+  Alcotest.(check (list int)) "every row, in key order"
+    (List.init 10 (fun i -> i + 1) @ [ 1000 ])
+    (ints (rows_of (N.exec_exn s "SELECT k FROM w")));
+  let long = Row.Vstr (String.make 1990 'x') in
+  let rs = rows_of (N.exec_exn s "SELECT v FROM w WHERE k >= 9 AND k <= 10") in
+  Alcotest.(check int) "two long rows" 2 (List.length rs);
+  Alcotest.(check bool) "the long rows read back whole" true
+    (List.for_all (fun r -> Row.equal_value r.(0) long) rs)
+
 let self_join_with_aliases () =
   let _node, s = setup () in
   ignore (N.exec_exn s "CREATE TABLE t (k INT PRIMARY KEY, v INT NOT NULL)");
@@ -311,6 +335,7 @@ let suite =
     Alcotest.test_case "LIMIT edge cases" `Quick limit_edge_cases;
     Alcotest.test_case "unrepresentable numeric literals" `Quick
       unrepresentable_literals;
+    Alcotest.test_case "leaf split of skewed rows" `Quick split_of_skewed_rows;
     Alcotest.test_case "self join with aliases" `Quick self_join_with_aliases;
     Alcotest.test_case "GROUP BY expression" `Quick group_by_expression;
     Alcotest.test_case "HAVING filters groups" `Quick having_filters_groups;

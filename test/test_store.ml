@@ -244,16 +244,90 @@ let btree_random_ops =
         model true
       && Btree.record_count t = Hashtbl.length model)
 
-(* Every page reachable from the root, read through the cache's decoded
-   view, must equal a fresh decode of the frame's bytes. *)
-let views_coherent cache t =
+(* [leaf_matches l bytes] — do the in-place accessors of leaf view [l]
+   read what [Page.decode bytes] holds, and are [bytes] exactly what
+   [Page.encode] writes for those entries (so every splice that built
+   them was byte-identical to encoding the edited entry array)? *)
+let leaf_matches ~block_size l bytes =
+  match Page.decode bytes with
+  | Page.Node _ -> false
+  | Page.Leaf { entries; next } as page ->
+      let n = Array.length entries in
+      let block = Page.leaf_block l in
+      let entry_ok i =
+        let key, record = entries.(i) in
+        String.equal (Page.leaf_key l i) key
+        && String.equal (Page.leaf_record l i) record
+        && String.equal
+             (String.sub block (Page.record_pos l i) (Page.record_len l i))
+             record
+        && Page.key_equal l i key
+        && Page.compare_key l i key = 0
+        && Page.leaf_find l key = i
+        && Page.leaf_find l (Keycode.successor key) = i + 1
+      in
+      Page.leaf_count l = n
+      && Page.leaf_next l = next
+      && Page.leaf_size l = Page.size page
+      && List.for_all entry_ok (List.init n Fun.id)
+      && Page.leaf_entries l = entries
+      && String.equal bytes (Page.encode ~block_size page)
+
+(* [splices_match ~block_size l at] — do the three splices of leaf [l] at
+   the index [at] picks give exactly [Page.encode] of the edited entry
+   array? *)
+let splices_match ~block_size l at =
+  match Page.decode (Page.leaf_block l) with
+  | Page.Node _ -> false
+  | Page.Leaf { entries; next } ->
+      let n = Array.length entries in
+      let encode entries = Page.encode ~block_size (Page.Leaf { entries; next }) in
+      let pos = at mod (n + 1) in
+      let before = Array.sub entries 0 pos
+      and after = Array.sub entries pos (n - pos) in
+      (* a key between the neighbours is not needed: splices do not
+         compare keys *)
+      let fresh = ("new-key", String.make (at mod 40) 'n') in
+      let inserted = Array.concat [ before; [| fresh |]; after ] in
+      let insert_ok =
+        Page.size (Page.Leaf { entries = inserted; next }) > block_size
+        || String.equal
+             (Page.leaf_insert ~block_size l pos ~key:(fst fresh)
+                ~record:(snd fresh))
+             (encode inserted)
+      in
+      let edit_ok =
+        pos = n
+        ||
+        let replaced = Array.copy entries in
+        replaced.(pos) <- (fst entries.(pos), "r");
+        let removed =
+          Array.append before (Array.sub entries (pos + 1) (n - pos - 1))
+        in
+        String.equal (Page.leaf_replace ~block_size l pos ~record:"r")
+          (encode replaced)
+        && String.equal (Page.leaf_remove ~block_size l pos) (encode removed)
+      in
+      insert_ok && edit_ok
+
+(* Every page reachable from the root, read through the cache's view,
+   must read what a fresh decode of the frame's bytes holds: a leaf
+   through its in-place accessors, a node as decoded entries. The leaf
+   that key [at] seeks to is spliced too. *)
+let views_coherent cache t ~at =
+  let block_size = Disk.block_size (Cache.disk cache) in
+  let target = Btree.cursor_block (Btree.seek t (k at)) in
   let rec walk block =
-    let page = Btree.read_page t block in
-    if page <> Page.decode (Cache.read cache block) then
-      failwith (Printf.sprintf "stale view of block %d" block);
-    match page with
-    | Page.Leaf _ -> ()
-    | Page.Node { child0; entries } ->
+    let bytes = Cache.read cache block in
+    match Btree.read_page t block with
+    | Page.Leaf_view l ->
+        if not (leaf_matches ~block_size l bytes) then
+          failwith (Printf.sprintf "leaf view of block %d misreads it" block);
+        if block = target && not (splices_match ~block_size l at) then
+          failwith (Printf.sprintf "a splice of block %d differs" block)
+    | Page.Node_view { child0; entries } ->
+        if Page.decode bytes <> Page.Node { child0; entries } then
+          failwith (Printf.sprintf "stale view of block %d" block);
         walk child0;
         Array.iter (fun (_, c) -> walk c) entries
   in
@@ -262,23 +336,32 @@ let views_coherent cache t =
 (* Random inserts, updates, deletes and bulk reloads on an 8-frame pool, so
    frames are written, evicted and re-read with their views in every
    state; the views must track the bytes after every step. Op 3 moves the
-   contents into a fresh tree with [load_sorted]. *)
+   contents into a fresh tree with [load_sorted]. Record sizes are skewed,
+   from one byte to nearly the largest a leaf takes, so leaves split with
+   entries of very different weights. *)
 let btree_views_coherent =
   QCheck.Test.make ~name:"btree page views track frame bytes" ~count:30
-    QCheck.(list (pair (int_bound 3) (int_bound 200)))
+    QCheck.(list (triple (int_bound 3) (int_bound 200) (int_bound 3)))
     (fun ops ->
       let sim, cache = setup ~capacity:8 () in
       let t = ref (Btree.create sim cache ~name:"T") in
       let model = Hashtbl.create 64 in
-      let record key tag =
-        Printf.sprintf "%s%d-%s" tag key (String.make (100 + key) 'v')
+      let record key tag size =
+        let len =
+          match size with
+          | 0 -> 0
+          | 1 -> 100 + key
+          | 2 -> 1000 + (key * 3)
+          | _ -> 1800 + key
+        in
+        Printf.sprintf "%s%d-%s" tag key (String.make len 'v')
       in
       List.iter
-        (fun (op, key) ->
+        (fun (op, key, size) ->
           let ks = k key in
           (match op with
           | 0 -> (
-              let r = record key "i" in
+              let r = record key "i" size in
               match Btree.insert !t ~key:ks ~record:r ~lsn:1L with
               | Ok () -> Hashtbl.replace model key r
               | Error (Errors.Duplicate_key _) -> ()
@@ -289,7 +372,7 @@ let btree_views_coherent =
               | Error (Errors.Not_found_key _) -> ()
               | Error e -> failwith (Errors.to_string e))
           | 2 -> (
-              let r = record key "u" in
+              let r = record key "u" size in
               match Btree.update !t ~key:ks ~record:r ~lsn:1L with
               | Ok _ -> Hashtbl.replace model key r
               | Error (Errors.Not_found_key _) -> ()
@@ -305,7 +388,7 @@ let btree_views_coherent =
                    (List.map (fun (key, r) -> (k key, r)) sorted)
                    ~lsn:1L);
               t := fresh);
-          views_coherent cache !t;
+          views_coherent cache !t ~at:key;
           match Btree.check_invariants !t with
           | Ok () -> ()
           | Error e -> failwith e)
@@ -314,6 +397,31 @@ let btree_views_coherent =
         (fun key r acc -> acc && Btree.lookup !t (k key) = Some r)
         model true
       && Btree.record_count !t = Hashtbl.length model)
+
+(* A split must cut where both halves fit. Nine short entries and two
+   long ones overflow a leaf whose middle cut would leave the long ones
+   and four short ones in a right half of 4,115 bytes; the cut moves one
+   entry right instead. A leaf's offset table must read both halves. *)
+let split_of_skewed_entries () =
+  let sim, cache = setup () in
+  let t = Btree.create sim cache ~name:"T" in
+  let short = String.make 11 's' and long = String.make 2001 'x' in
+  List.iter
+    (fun (i, r) -> get_ok ~ctx:"ins" (Btree.insert t ~key:(k i) ~record:r ~lsn:1L))
+    ((1000, short)
+    :: List.init 8 (fun i -> (i + 1, short))
+    @ [ (9, long); (10, long) ]);
+  (match Btree.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "two leaves" 2 (List.length (Btree.leaf_blocks t));
+  List.iter
+    (fun (i, r) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "lookup %d" i)
+        (Some r)
+        (Btree.lookup t (k i)))
+    [ (1, short); (8, short); (9, long); (10, long); (1000, short) ]
 
 (* --- relative files ------------------------------------------------------ *)
 
@@ -394,6 +502,8 @@ let suite =
       bulk_load_rejects;
     QCheck_alcotest.to_alcotest btree_random_ops;
     QCheck_alcotest.to_alcotest btree_views_coherent;
+    Alcotest.test_case "btree split of skewed entries fits" `Quick
+      split_of_skewed_entries;
     Alcotest.test_case "relfile basics" `Quick relfile_basics;
     Alcotest.test_case "relfile many slots" `Quick relfile_many_slots;
     Alcotest.test_case "entryfile basics" `Quick entryfile_basics;
