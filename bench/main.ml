@@ -917,54 +917,36 @@ let e14_apply_block () =
                        Some (Fs.open_apply_buffer (N.fs node) tbl.N.Catalog.t_file ~tx ~capacity:cap)
                    | None -> None
                  in
-                 (* the cursor drains whole reply batches; rows are taken
-                    uncharged and the 3-tick drain cost is paid per row
-                    before any per-row message, so flushes triggered
-                    mid-batch go out at the same instants as a
-                    row-at-a-time cursor would send them *)
-                 let sim = N.sim node in
+                 (* the cursor pops row by row, so each per-row message
+                    goes out right after that row's pop charge *)
                  let rec walk () =
-                   match Fs.scan_next_batch ~tick:false (N.fs node) sc with
+                   match Fs.scan_next (N.fs node) sc with
                    | Ok None -> (
-                       Fs.close_scan (N.fs node) sc;
                        match apply_buf with
                        | Some b -> Fs.flush_apply_buffer (N.fs node) b
                        | None -> Ok ())
-                   | Ok (Some batch) ->
-                       let n = Array.length batch in
-                       let rec apply i =
-                         if i >= n then walk ()
-                         else begin
-                           Sim.tick sim 3;
-                           match batch.(i) with
-                           | [| Row.Vint k |] when k mod 3 = 0 -> (
-                               incr updated;
-                               let key =
-                                 get_ok ~ctx:"key"
-                                   (Row.key_of_values tbl.N.Catalog.t_schema
-                                      [ Row.Vint k ])
-                               in
-                               match apply_buf with
-                               | Some b -> (
-                                   match
-                                     Fs.buffered_update (N.fs node) b ~key bump
-                                   with
-                                   | Ok () -> apply (i + 1)
-                                   | Error _ as e -> e)
-                               | None -> (
-                                   match
-                                     Fs.update_row_via_key (N.fs node)
-                                       tbl.N.Catalog.t_file ~tx ~key bump
-                                   with
-                                   | Ok () -> apply (i + 1)
-                                   | Error _ as e -> e))
-                           | _ -> apply (i + 1)
-                         end
+                   | Ok (Some [| Row.Vint k |]) when k mod 3 = 0 -> (
+                       incr updated;
+                       let key =
+                         get_ok ~ctx:"key"
+                           (Row.key_of_values tbl.N.Catalog.t_schema
+                              [ Row.Vint k ])
                        in
-                       apply 0
+                       let applied =
+                         match apply_buf with
+                         | Some b -> Fs.buffered_update (N.fs node) b ~key bump
+                         | None ->
+                             Fs.update_row_via_key (N.fs node)
+                               tbl.N.Catalog.t_file ~tx ~key bump
+                       in
+                       match applied with Ok () -> walk () | Error _ as e -> e)
+                   | Ok (Some _) -> walk ()
                    | Error _ as e -> e
                  in
-                 walk ())))
+                 (* close on every exit, errors and raises included *)
+                 Fun.protect
+                   ~finally:(fun () -> Fs.close_scan (N.fs node) sc)
+                   walk)))
     in
     (delta.Stats.msgs_sent, !updated)
   in

@@ -180,7 +180,24 @@ let validate_partitions partitions =
         else fail (Errors.Invalid_argument_error "partition keys not ascending")
       end
 
+(* the index's key is its columns then the base key columns it lacks, so
+   each column must exist, appear once and be NOT NULL; checked here,
+   before any R_create_file, so a bad list leaves no index file behind *)
 let build_index_meta (schema : Row.schema) spec =
+  let bad fmt = Printf.ksprintf (fun m -> fail (Errors.Bad_request m)) fmt in
+  let rec check seen = function
+    | [] -> Ok ()
+    | i :: _ when i < 0 || i >= Array.length schema.Row.cols ->
+        bad "index %s: no column %d" spec.is_name i
+    | i :: rest ->
+        let c = schema.Row.cols.(i) in
+        if List.mem i seen then
+          bad "index %s: duplicate column %s" spec.is_name c.Row.col_name
+        else if c.Row.nullable then
+          bad "index %s: column %s is nullable" spec.is_name c.Row.col_name
+        else check (i :: seen) rest
+  in
+  let* () = check [] spec.is_cols in
   let key_cols = Array.to_list schema.Row.key_cols in
   let ix_cols = Array.of_list spec.is_cols in
   let extra = List.filter (fun k -> not (List.mem k spec.is_cols)) key_cols in
@@ -197,10 +214,37 @@ let build_index_meta (schema : Row.schema) spec =
     go 0
   in
   let ix_basekey_pos = Array.of_list (List.map pos_of key_cols) in
-  (ix_cols, all, ix_basekey_pos, ix_schema)
+  Ok (ix_cols, all, ix_basekey_pos, ix_schema)
+
+(* [spec]'s index file, created on its Disk Process from validated metadata *)
+let create_index_file t ~fname spec (ix_cols, ix_all_cols, ix_basekey_pos, ix_schema) =
+  let iname = Printf.sprintf "%s#ix_%s" fname spec.is_name in
+  let* ix_file =
+    expect_file
+      (send t spec.is_dp
+         (Dp_msg.R_create_file
+            { fname = iname; kind = Dp_msg.K_key_sequenced; schema = Some ix_schema; check = None }))
+  in
+  Ok
+    {
+      ix_name = spec.is_name;
+      ix_cols;
+      ix_all_cols;
+      ix_basekey_pos;
+      ix_schema;
+      ix_dp = spec.is_dp;
+      ix_file;
+    }
 
 let create_file t ~fname ~schema ?check ~partitions ~indexes () =
   let* () = validate_partitions partitions in
+  let* metas =
+    Errors.list_map
+      (fun spec ->
+        let* meta = build_index_meta schema spec in
+        Ok (spec, meta))
+      indexes
+  in
   let* parts =
     Errors.list_map
       (fun (i, ps) ->
@@ -214,30 +258,8 @@ let create_file t ~fname ~schema ?check ~partitions ~indexes () =
         Ok { p_lo = ps.ps_lo; p_dp = ps.ps_dp; p_file = id })
       (List.mapi (fun i ps -> (i, ps)) partitions)
   in
-  let* index_metas =
-    Errors.list_map
-      (fun spec ->
-        let ix_cols, ix_all_cols, ix_basekey_pos, ix_schema =
-          build_index_meta schema spec
-        in
-        let iname = Printf.sprintf "%s#ix_%s" fname spec.is_name in
-        let reply =
-          send t spec.is_dp
-            (Dp_msg.R_create_file
-               { fname = iname; kind = Dp_msg.K_key_sequenced; schema = Some ix_schema; check = None })
-        in
-        let* id = expect_file reply in
-        Ok
-          {
-            ix_name = spec.is_name;
-            ix_cols;
-            ix_all_cols;
-            ix_basekey_pos;
-            ix_schema;
-            ix_dp = spec.is_dp;
-            ix_file = id;
-          })
-      indexes
+  let* indexes =
+    Errors.list_map (fun (spec, meta) -> create_index_file t ~fname spec meta) metas
   in
   Ok
     {
@@ -245,7 +267,7 @@ let create_file t ~fname ~schema ?check ~partitions ~indexes () =
       schema = Some schema;
       kind = Dp_msg.K_key_sequenced;
       parts = Array.of_list parts;
-      indexes = index_metas;
+      indexes;
     }
 
 let create_enscribe_file t ~fname ~kind ~partitions =
@@ -590,6 +612,9 @@ type scan = {
   mutable batch : scan_item list;
       (** taken from the driver as one batch, not yet popped by
           [scan_next_item]; dropped at close *)
+  base_row : (Row.row -> (Row.row, Errors.t) result) option;
+      (** an index scan's resolution of an index row to its base row (one
+          base READ); [None] for a scan of the file itself *)
 }
 
 let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
@@ -662,7 +687,7 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
           sc_span = sp;
         }
   in
-  { drv; batch = [] }
+  { drv; batch = []; base_row = None }
 
 (* client-side filtering for the record-at-a-time and RSBB paths *)
 let client_select_gen ~schema ~pred ~proj key record =
@@ -706,6 +731,17 @@ let advance_partition t sc =
 let client_select sc key record =
   client_select_gen ~schema:sc.sc_file.schema ~pred:sc.sc_pred
     ~proj:sc.sc_proj key record
+
+(* the scan items of a block reply — VSBB rows as they came, RSBB entries
+   filtered here — with its re-drive state [(items, last_key, more, scb)];
+   [None] for any other reply. Both drivers absorb replies through it. *)
+let block_items ~schema ~pred ~proj = function
+  | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
+      Some (List.map (fun r -> I_row r) rows, last_key, more, scb)
+  | Dp_msg.Rp_block { entries; last_key; more; scb } ->
+      let select (k, r) = client_select_gen ~schema ~pred ~proj k r in
+      Some (List.filter_map select entries, last_key, more, scb)
+  | _ -> None
 
 (* one non-empty reply buffer = one executor-visible batch, counted where
    the reply is absorbed *)
@@ -795,23 +831,18 @@ let refill t sc =
                 sc.sc_scb <- None;
                 advance_partition t sc;
                 Some (Ok [])
-            | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
-                sc.sc_scb <- (if more then Some scb else None);
-                sc.sc_last_key <- last_key;
-                let items = List.map (fun r -> I_row r) rows in
-                note_batch t (List.length items);
-                if not more then advance_partition t sc;
-                Some (Ok items)
-            | Dp_msg.Rp_block { entries; last_key; more; scb } ->
-                sc.sc_scb <- (if more then Some scb else None);
-                sc.sc_last_key <- last_key;
-                let items =
-                  List.filter_map (fun (k, r) -> client_select sc k r) entries
-                in
-                note_batch t (List.length items);
-                if not more then advance_partition t sc;
-                Some (Ok items)
-            | _ -> None)))
+            | reply -> (
+                match
+                  block_items ~schema:sc.sc_file.schema ~pred:sc.sc_pred
+                    ~proj:sc.sc_proj reply
+                with
+                | None -> None
+                | Some (items, last_key, more, scb) ->
+                    sc.sc_scb <- (if more then Some scb else None);
+                    sc.sc_last_key <- last_key;
+                    note_batch t (List.length items);
+                    if not more then advance_partition t sc;
+                    Some (Ok items)))))
 
 (* the next non-empty reply's items, uncharged; [] at end of scan *)
 let rec seq_next_items t sc =
@@ -870,49 +901,29 @@ let par_process t ps pp reply =
       pp.pp_scb <- None;
       pp.pp_done <- true;
       Some (Ok ())
-  | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
-      pp.pp_last_key <- last_key;
-      let items = List.map (fun r -> I_row r) rows in
-      par_absorb ps pp items;
-      note_batch t (List.length items);
-      if more then begin
-        pp.pp_scb <- Some scb;
-        pp.pp_pending <-
-          Some
-            (send_nowait t pp.pp_part.p_dp
-               (Dp_msg.R_get_next
-                  { file = pp.pp_part.p_file; tx = ps.pr_tx; scb; after_key = last_key }))
-      end
-      else begin
-        pp.pp_scb <- None;
-        pp.pp_done <- true
-      end;
-      Some (Ok ())
-  | Dp_msg.Rp_block { entries; last_key; more; scb } ->
-      pp.pp_last_key <- last_key;
-      let items =
-        List.filter_map
-          (fun (k, r) ->
-            client_select_gen ~schema:ps.pr_file.schema ~pred:ps.pr_pred
-              ~proj:ps.pr_proj k r)
-          entries
-      in
-      par_absorb ps pp items;
-      note_batch t (List.length items);
-      if more then begin
-        pp.pp_scb <- Some scb;
-        pp.pp_pending <-
-          Some
-            (send_nowait t pp.pp_part.p_dp
-               (Dp_msg.R_get_next
-                  { file = pp.pp_part.p_file; tx = ps.pr_tx; scb; after_key = last_key }))
-      end
-      else begin
-        pp.pp_scb <- None;
-        pp.pp_done <- true
-      end;
-      Some (Ok ())
-  | _ -> None)
+  | reply -> (
+      match
+        block_items ~schema:ps.pr_file.schema ~pred:ps.pr_pred
+          ~proj:ps.pr_proj reply
+      with
+      | None -> None
+      | Some (items, last_key, more, scb) ->
+          pp.pp_last_key <- last_key;
+          par_absorb ps pp items;
+          note_batch t (List.length items);
+          if more then begin
+            pp.pp_scb <- Some scb;
+            pp.pp_pending <-
+              Some
+                (send_nowait t pp.pp_part.p_dp
+                   (Dp_msg.R_get_next
+                      { file = pp.pp_part.p_file; tx = ps.pr_tx; scb; after_key = last_key }))
+          end
+          else begin
+            pp.pp_scb <- None;
+            pp.pp_done <- true
+          end;
+          Some (Ok ())))
 
 (* drain every outstanding completion (charging its latency); called on
    error and on close so no completion is ever leaked *)
@@ -1049,47 +1060,59 @@ let close_scan t sc =
       Trace.finish t.sim ps.pr_span;
       ps.pr_dead <- true
 
+let row_of_item schema = function
+  | I_row row -> row
+  | I_entry (_, record) -> Row.decode_exn schema record
+
+(* a scan of a schema-less file carries raw entries only, which
+   [scan_next_entry] reads *)
+let schema_less = Errors.Bad_request "a row scan of a schema-less file"
+
 let scan_next t sc =
   let* item = scan_next_item t sc in
-  match item with
-  | None -> Ok None
-  | Some (I_row row) -> Ok (Some row)
-  | Some (I_entry (_, record)) -> (
-      match (scan_file sc).schema with
-      | Some schema -> Ok (Some (Row.decode_exn schema record))
-      | None -> Error (Errors.Bad_request "scan_next on schema-less file"))
+  match (item, (scan_file sc).schema) with
+  | None, _ -> Ok None
+  | Some _, None -> Error schema_less
+  | Some item, Some schema -> (
+      let row = row_of_item schema item in
+      match sc.base_row with
+      | None -> Ok (Some row)
+      | Some base_row ->
+          (* outside the scan's window: the READ is base-file work *)
+          let* row = base_row row in
+          Ok (Some row))
 
 (* surface everything the scan has buffered — at least one FS-DP reply
-   buffer — as one row array; [None] when the scan is exhausted. With
-   [~tick:false] the per-row pop charge is NOT applied: the consumer must
-   charge [Sim.tick 3] per row before any per-row message it sends, so the
-   message timeline stays byte-identical to popping rows one at a time. *)
-let scan_next_batch ?(tick = true) t sc =
+   buffer — as one row array; [None] when the scan is exhausted. A scan of
+   the file itself charges the [3n] of n pops inside its window; an index
+   scan charges each pop's [Sim.tick 3] just before that row's base READ,
+   so each READ goes out when a [scan_next] pop would send it. *)
+let scan_next_batch t sc =
   let* items =
     Trace.attribute t.sim (scan_span sc) (fun () ->
         let* items = take_batch t sc in
-        if tick && items <> [] then Sim.tick t.sim (3 * List.length items);
+        if Option.is_none sc.base_row && items <> [] then
+          Sim.tick t.sim (3 * List.length items);
         Ok items)
   in
-  match items with
-  | [] -> Ok None
-  | items -> (
-      match (scan_file sc).schema with
-      | Some schema ->
-          Ok
-            (Some
-               (Array.of_list items |> Array.map (function
-                  | I_row row -> row
-                  | I_entry (_, record) -> Row.decode_exn schema record)))
-      | None ->
-          if List.exists (function I_entry _ -> true | I_row _ -> false) items
-          then Error (Errors.Bad_request "scan_next_batch on a schema-less file")
-          else
-            Ok
-              (Some
-                 (Array.of_list items |> Array.map (function
-                    | I_row row -> row
-                    | I_entry _ -> assert false))))
+  match (items, (scan_file sc).schema) with
+  | [], _ -> Ok None
+  | _, None -> Error schema_less
+  | items, Some schema -> (
+      let rows = Array.of_list items |> Array.map (row_of_item schema) in
+      match sc.base_row with
+      | None -> Ok (Some rows)
+      | Some base_row ->
+          let rec fill i =
+            if i >= Array.length rows then Ok (Some rows)
+            else begin
+              Sim.tick t.sim 3;
+              let* row = base_row rows.(i) in
+              rows.(i) <- row;
+              fill (i + 1)
+            end
+          in
+          fill 0)
 
 let scan_next_entry t sc =
   let* item = scan_next_item t sc in
@@ -1204,31 +1227,21 @@ let drive_subset t f ~range ~first ~next =
 
 (* the requester-side path when index maintenance rules the delegated one
    out: qualify with a VSBB scan projecting the key columns, then [apply]
-   one via-key read-modify-write per qualifying key. The keys arrive a
-   whole reply buffer at a time; the pop tick is deferred ([~tick:false])
-   and re-applied before each [apply] so the message timeline matches the
-   row-at-a-time driver exactly. *)
+   one via-key read-modify-write per qualifying key, popped row by row so
+   each one goes out right after its pop charge *)
 let via_keys t f schema ~tx ~range ?pred apply =
   let sc =
     open_scan t f ~tx ~access:A_vsbb ~range ?pred ~proj:schema.Row.key_cols
       ~lock:Dp_msg.L_exclusive ()
   in
   let rec go count =
-    let* batch = scan_next_batch ~tick:false t sc in
-    match batch with
+    let* row = scan_next t sc in
+    match row with
     | None -> Ok count
-    | Some batch ->
-        let n = Array.length batch in
-        let rec each i =
-          if i >= n then go (count + n)
-          else begin
-            Sim.tick t.sim 3;
-            let* key = Row.key_of_values schema (Array.to_list batch.(i)) in
-            let* () = apply key in
-            each (i + 1)
-          end
-        in
-        each 0
+    | Some key_values ->
+        let* key = Row.key_of_values schema (Array.to_list key_values) in
+        let* () = apply key in
+        go (count + 1)
   in
   (* close on every exit — errors and raises out of the driver (a
      malformed record decode) must not leave the scan (or its span) open *)
@@ -1436,12 +1449,11 @@ let buffered_delete t b ~key = buffer_op t b key Dp_msg.Ob_delete
 
 (* --- index scans -------------------------------------------------------------------------- *)
 
-(* An index scan in either stream shape. The index is viewed as a
-   one-partition key-sequenced file and scanned with VSBB, so selection on
-   index fields runs in the index's Disk Process; [pull sc base_row]
-   surfaces the next item, resolving each qualifying entry with one base
-   READ through [base_row]. *)
-let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock pull =
+(* The index is viewed as a one-partition key-sequenced file and scanned
+   with VSBB, so selection on index fields runs in the index's Disk
+   Process; each qualifying entry is resolved with one base READ. Opening
+   sends no message. *)
+let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
   let* schema = require_schema f in
   match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
   | None -> fail (Errors.Name_error ("unknown index " ^ index))
@@ -1455,7 +1467,6 @@ let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock pull =
           indexes = [];
         }
       in
-      let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
       let base_row irow =
         let* base_key = base_key_of_index_row f ix irow in
         let p = route f base_key in
@@ -1466,52 +1477,8 @@ let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock pull =
         let row = Row.decode_exn schema record in
         Ok (match proj with Some fields -> Row.project row fields | None -> row)
       in
-      let next () =
-        match pull sc base_row with
-        | Ok (Some _) as r -> r
-        | (Ok None | Error _) as r ->
-            (* release eagerly at the end of the stream (scan-close is
-               idempotent, callers may pull past the end) *)
-            close_scan t sc;
-            r
-      in
-      (* the caller must run [close] on every exit: a fault can abandon the
-         stream between pulls, and only closing releases the SCB and the
-         scan's trace span *)
-      Ok (next, fun () -> close_scan t sc)
-
-let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
-  open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock (fun sc base_row ->
-      let* irow = scan_next t sc in
-      match irow with
-      | None -> Ok None
-      | Some irow ->
-          let* row = base_row irow in
-          Ok (Some row))
-
-(* batch variant of [index_scan]: one call surfaces a whole buffered batch
-   of index entries resolved to base rows. The index-scan pops are taken
-   uncharged ([~tick:false]) and the pop tick is re-applied immediately
-   before each base READ, so the message timeline is byte-identical to
-   pulling rows one at a time. *)
-let index_scan_batch t f ~tx ~index ~range ?pred ?proj ~lock () =
-  open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock (fun sc base_row ->
-      let* irows = scan_next_batch ~tick:false t sc in
-      match irows with
-      | None -> Ok None
-      | Some irows ->
-          let n = Array.length irows in
-          let out = Array.make n [||] in
-          let rec fill i =
-            if i >= n then Ok (Some out)
-            else begin
-              Sim.tick t.sim 3;
-              let* row = base_row irows.(i) in
-              out.(i) <- row;
-              fill (i + 1)
-            end
-          in
-          fill 0)
+      let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
+      Ok { sc with base_row = Some base_row }
 
 (* --- online index creation ------------------------------------------------ *)
 
@@ -1520,33 +1487,13 @@ let add_index t f ~tx spec =
   if List.exists (fun ix -> String.equal ix.ix_name spec.is_name) f.indexes
   then fail (Errors.File_exists ("index " ^ spec.is_name))
   else begin
-    let ix_cols, ix_all_cols, ix_basekey_pos, ix_schema =
-      build_index_meta schema spec
-    in
-    let iname = Printf.sprintf "%s#ix_%s" f.fname spec.is_name in
-    let* id =
-      expect_file
-        (send t spec.is_dp
-           (Dp_msg.R_create_file
-              { fname = iname; kind = Dp_msg.K_key_sequenced;
-                schema = Some ix_schema; check = None }))
-    in
-    let ix =
-      {
-        ix_name = spec.is_name;
-        ix_cols;
-        ix_all_cols;
-        ix_basekey_pos;
-        ix_schema;
-        ix_dp = spec.is_dp;
-        ix_file = id;
-      }
-    in
+    let* meta = build_index_meta schema spec in
+    let* ix = create_index_file t ~fname:f.fname spec meta in
     (* backfill: scan the base with VSBB projecting the index fields, ship
        the entries with blocked inserts *)
     let sc =
       open_scan t f ~tx ~access:A_vsbb ~range:Expr.full_range
-        ~proj:ix_all_cols ~lock:Dp_msg.L_shared ()
+        ~proj:ix.ix_all_cols ~lock:Dp_msg.L_shared ()
     in
     let batch = ref [] in
     let flush () =
@@ -1556,7 +1503,8 @@ let add_index t f ~tx spec =
           let rows = List.rev rows in
           batch := [];
           expect_applied ~ctx:"INSERT^BLOCK"
-            (send t spec.is_dp (Dp_msg.R_insert_block { file = id; tx; rows }))
+            (send t spec.is_dp
+               (Dp_msg.R_insert_block { file = ix.ix_file; tx; rows }))
     in
     let rec fill () =
       let* row = scan_next t sc in

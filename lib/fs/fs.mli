@@ -51,7 +51,9 @@ val create : Nsql_sim.Sim.t -> Msg.system -> my_processor:Msg.processor -> t
 
 (** [create_file t ~fname ~schema ?check ~partitions ~indexes ()] creates a
     SQL key-sequenced file on the given partitions, plus one key-sequenced
-    file per secondary index, and returns the catalog handle. *)
+    file per secondary index, and returns the catalog handle. An index
+    column list naming a column twice, a nullable column or no column of
+    [schema] is [Bad_request], before any file is created. *)
 val create_file :
   t ->
   fname:string ->
@@ -228,24 +230,20 @@ val open_scan :
 
 (** [scan_next t scan] yields the next row (projected if requested),
     de-blocking locally and re-driving the Disk Process when the local
-    buffer drains. [Ok None] is end-of-scan. *)
+    buffer drains; each pop charges [Sim.tick 3]. On an index scan the
+    pop is followed by the row's base READ. [Ok None] is end-of-scan. *)
 val scan_next : t -> scan -> (Row.row option, Nsql_util.Errors.t) result
 
 (** [scan_next_batch t scan] surfaces everything the scan has buffered —
     at least one FS-DP reply buffer, re-driving the Disk Process if the
     buffer is empty — as one row array; [Ok None] is end-of-scan. The
     batch is exactly the rows an uninterrupted run of {!scan_next} pops
-    would return, and by default carries the same aggregate per-row pop
-    charge, so message traffic, counters and the simulated clock are
-    byte-identical to pulling row-at-a-time.
-
-    [~tick:false] defers the pop charge: the rows come back uncharged and
-    the consumer owes [Sim.tick 3] per row {e before} any per-row message
-    it sends — the contract that keeps send times exact for drivers that
-    interleave messages with consumption (index base reads, per-record
-    read-modify-write fallbacks). *)
+    would return, and carries the same per-row pop charge: on an index
+    scan, [Sim.tick 3] just before each base READ. A caller that sends a
+    message per row pops with {!scan_next} instead, so each message goes
+    out after its own row's charge. *)
 val scan_next_batch :
-  ?tick:bool -> t -> scan -> (Row.row array option, Nsql_util.Errors.t) result
+  t -> scan -> (Row.row array option, Nsql_util.Errors.t) result
 
 (** [scan_next_entry t scan] yields raw (key, record) pairs — for
     schema-less files and RSBB baselines. *)
@@ -253,7 +251,8 @@ val scan_next_entry :
   t -> scan -> ((string * string) option, Nsql_util.Errors.t) result
 
 (** [close_scan t scan] releases the scan's SCBs and trace span; the scan
-    yields nothing more. Idempotent. *)
+    yields nothing more. Idempotent. Every scan — an index scan too — must
+    be closed on every exit, raises included. *)
 val close_scan : t -> scan -> unit
 
 (** [update_subset t file ~tx ~range ?pred assignments] delegates a
@@ -306,7 +305,8 @@ val flush_insert_buffer : t -> insert_buffer -> (unit, Nsql_util.Errors.t) resul
 (** [add_index t file ~tx spec] creates a new secondary index on an
     existing SQL file and backfills it by scanning the base file (VSBB) and
     inserting the index entries (blocked). Returns the updated catalog
-    handle — callers must replace their old handle. *)
+    handle — callers must replace their old handle. A bad column list is
+    [Bad_request], as for {!create_file}, and creates no index file. *)
 val add_index :
   t -> file -> tx:int -> index_spec -> (file, Nsql_util.Errors.t) result
 
@@ -336,30 +336,18 @@ val flush_apply_buffer : t -> apply_buffer -> (unit, Nsql_util.Errors.t) result
 
 (** {1 Scans via secondary index} *)
 
-(** [index_scan t file ~tx ~index ~range ?pred ~proj ()] scans the index
-    file with VSBB, then fetches each qualifying base row with a point
-    read (one message per base row — the cost structure of Figure 2).
-    [range] and [pred] are in terms of the {e index} file's fields;
-    [proj] is in terms of the base file. Returns [(next, close)]: [next]
-    streams base rows; the caller must run [close] on every exit (it is
-    idempotent, and the stream closes itself when drained to the end), or
-    an abandoned scan leaks its SCB and leaves its trace span open. *)
-val index_scan :
+(** [open_index_scan t file ~tx ~index ~range ?pred ?proj ~lock ()]
+    scans the index file with VSBB and resolves each qualifying entry to
+    its base row with a point read (one message per base row — the cost
+    structure of Figure 2). [range] and [pred] are in terms of the
+    {e index} file's fields; [proj] is in terms of the base file. The
+    handle is an ordinary {!scan}: pop it with {!scan_next} or
+    {!scan_next_batch} and close it with {!close_scan}. Opening sends no
+    message; an unknown index is [Name_error]. *)
+val open_index_scan :
   t -> file -> tx:int -> index:string -> range:Expr.key_range ->
   ?pred:Expr.t -> ?proj:int array -> lock:Dp_msg.lock_mode -> unit ->
-  ((unit -> (Row.row option, Nsql_util.Errors.t) result) * (unit -> unit),
-   Nsql_util.Errors.t) result
-
-(** [index_scan_batch] is {!index_scan} with a batched stream: each
-    [next_batch] call resolves one buffered batch of index entries to base
-    rows (still one point read per row — the per-row messages and their
-    send times are byte-identical to the row-at-a-time stream). Same
-    close-on-every-exit contract as {!index_scan}. *)
-val index_scan_batch :
-  t -> file -> tx:int -> index:string -> range:Expr.key_range ->
-  ?pred:Expr.t -> ?proj:int array -> lock:Dp_msg.lock_mode -> unit ->
-  ((unit -> (Row.row array option, Nsql_util.Errors.t) result) * (unit -> unit),
-   Nsql_util.Errors.t) result
+  (scan, Nsql_util.Errors.t) result
 
 (** [index_schema file ~index] is the schema of the index file (index
     columns then base key columns), for planners that push predicates to

@@ -116,46 +116,38 @@ let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
 
 (* scan the first table's access path as a list of batches, in order *)
 let scan_batches1 ctx (plan : select_plan) =
-  let tbl = plan.p_table in
-  match plan.p_access with
-  | Ap_primary { access; range; pred; proj } ->
-      let sc =
-        Fs.open_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~access ~range ?pred
-          ?proj ~lock:ctx.read_lock ()
-      in
-      let rec go acc =
-        match Fs.scan_next_batch ctx.fs sc with
-        | Ok (Some batch) ->
-            Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
-              (float_of_int (Array.length batch));
-            go (batch :: acc)
-        | Ok None -> Ok (List.rev acc)
-        | Error e -> Error e
-      in
-      Fun.protect
-        ~finally:(fun () -> Fs.close_scan ctx.fs sc)
-        (fun () -> go [])
-  | Ap_index { index; range; ipred; residual } ->
-      let* next_batch, close =
-        Fs.index_scan_batch ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~index ~range
-          ?pred:ipred ~lock:ctx.read_lock ()
-      in
-      (* the residual filter runs here, a batch at a time *)
-      let rec go acc =
-        let* batch = next_batch () in
-        match batch with
-        | None -> Ok (List.rev acc)
-        | Some batch ->
-            Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
-              (float_of_int (Array.length batch));
-            let batch =
-              match residual with
-              | None -> batch
-              | Some p -> Rowvec.filter (fun row -> Expr.eval_pred row p) batch
-            in
-            go (if Array.length batch = 0 then acc else batch :: acc)
-      in
-      Fun.protect ~finally:close (fun () -> go [])
+  let file = plan.p_table.Catalog.t_file and tx = ctx.tx in
+  let* sc =
+    match plan.p_access with
+    | Ap_primary { access; range; pred; proj } ->
+        Ok
+          (Fs.open_scan ctx.fs file ~tx ~access ~range ?pred ?proj
+             ~lock:ctx.read_lock ())
+    | Ap_index { index; range; ipred; _ } ->
+        Fs.open_index_scan ctx.fs file ~tx ~index ~range ?pred:ipred
+          ~lock:ctx.read_lock ()
+  in
+  let residual =
+    match plan.p_access with
+    | Ap_index { residual; _ } -> residual
+    | Ap_primary _ -> None
+  in
+  (* an index path's residual filter runs here, a batch at a time *)
+  let rec go acc =
+    let* batch = Fs.scan_next_batch ctx.fs sc in
+    match batch with
+    | None -> Ok (List.rev acc)
+    | Some batch ->
+        Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
+          (float_of_int (Array.length batch));
+        let batch =
+          match residual with
+          | None -> batch
+          | Some p -> Rowvec.filter (fun row -> Expr.eval_pred row p) batch
+        in
+        go (if Array.length batch = 0 then acc else batch :: acc)
+  in
+  Fun.protect ~finally:(fun () -> Fs.close_scan ctx.fs sc) (fun () -> go [])
 
 let scan_batches ctx (plan : select_plan) =
   let tbl = plan.p_table in

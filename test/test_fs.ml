@@ -214,19 +214,96 @@ let index_scan_streams_base_rows () =
       let* lo = Row.key_of_values ix_schema [ Row.Vstr "owner-0010" ] in
       let* hi = Row.key_of_values ix_schema [ Row.Vstr "owner-0019" ] in
       let range = Expr.{ lo; hi = Keycode.successor (hi ^ "\xff") } in
-      let* next, close =
-        Fs.index_scan n.fs file ~tx ~index:"by_owner" ~range ~proj:[| 0 |]
+      let* sc =
+        Fs.open_index_scan n.fs file ~tx ~index:"by_owner" ~range ~proj:[| 0 |]
           ~lock:Dp_msg.L_none ()
       in
-      let rec go acc =
-        let* row = next () in
-        match row with None -> Ok (List.rev acc) | Some r -> go (r :: acc)
-      in
-      let res = go [] in
-      close ();
-      let* rows = res in
-      Alcotest.(check int) "ten base rows" 10 (List.length rows);
+      let rows = drain_scan n sc in
+      Alcotest.(check (list int)) "ten base rows, projected"
+        (List.init 10 (fun i -> 10 + i))
+        (List.map (function [| Row.Vint k |] -> k | _ -> -1) rows);
       Ok ())
+
+(* the two ways to pop an index scan are one timeline: every row, counter,
+   message send time and the simulated clock agree, over several index
+   reply buffers *)
+let index_scan_pop_shapes_agree () =
+  let drain pop =
+    let n, file = with_branch_index () in
+    load_accounts n file 600;
+    Trace.set_enabled n.sim true;
+    let rows =
+      in_tx n (fun tx ->
+          let open Errors in
+          let* sc =
+            Fs.open_index_scan n.fs file ~tx ~index:"by_owner" ~range:full_range
+              ~lock:Dp_msg.L_shared ()
+          in
+          let rec go acc =
+            let* rows = pop n sc in
+            match rows with None -> Ok (List.rev acc) | Some r -> go (r :: acc)
+          in
+          Fun.protect ~finally:(fun () -> Fs.close_scan n.fs sc) (fun () -> go []))
+    in
+    let sends =
+      List.map
+        (fun sp -> (sp.Tracer.sp_name, sp.Tracer.sp_start))
+        (Trace.msg_spans (Trace.take n.sim))
+    in
+    let s = Sim.stats n.sim in
+    (List.concat rows, Stats.to_assoc s, Sim.now n.sim, sends)
+  in
+  let rows1, stats1, now1, sends1 =
+    drain (fun n sc ->
+        Result.map (Option.map (fun r -> [ r ])) (Fs.scan_next n.fs sc))
+  in
+  let rowsb, statsb, nowb, sendsb =
+    drain (fun n sc ->
+        Result.map (Option.map Array.to_list) (Fs.scan_next_batch n.fs sc))
+  in
+  Alcotest.(check int) "every base row" 600 (List.length rows1);
+  Alcotest.(check bool) "several index replies" true
+    (List.assoc "exec_batches" stats1 > 2);
+  Alcotest.(check bool) "same rows" true (List.equal Row.equal_row rows1 rowsb);
+  Alcotest.(check (list (pair string int))) "same stats" stats1 statsb;
+  Alcotest.(check (float 0.)) "same clock" now1 nowb;
+  Alcotest.(check (list (pair string (float 0.)))) "same send times" sends1
+    sendsb
+
+let unknown_index_is_name_error () =
+  let n, file = with_branch_index () in
+  in_tx n (fun tx ->
+      (match
+         Fs.open_index_scan n.fs file ~tx ~index:"by_nobody" ~range:full_range
+           ~lock:Dp_msg.L_none ()
+       with
+      | Error (Errors.Name_error _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
+      | Ok sc ->
+          Fs.close_scan n.fs sc;
+          Alcotest.fail "an unknown index opened");
+      Ok ())
+
+(* a bad index column list fails before any file exists: the second spec
+   indexes the nullable [note], so neither the base partition nor the
+   first, valid index may be created *)
+let bad_index_spec_creates_nothing () =
+  let n = node ~dps:2 () in
+  let spec name cols = Fs.{ is_name = name; is_cols = cols; is_dp = n.dps.(1) } in
+  (match
+     Fs.create_file n.fs ~fname:"ACCOUNT" ~schema:account_schema
+       ~partitions:[ Fs.{ ps_lo = ""; ps_dp = n.dps.(0) } ]
+       ~indexes:[ spec "by_owner" [ 2 ]; spec "by_note" [ 3 ] ]
+       ()
+   with
+  | Error (Errors.Bad_request _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
+  | Ok _ -> Alcotest.fail "an index on a nullable column was created");
+  List.iter
+    (fun (dp, name) ->
+      Alcotest.(check bool) (name ^ " not created") true
+        (Dp.file_id dp name = None))
+    [ (n.dps.(0), "ACCOUNT#p0"); (n.dps.(1), "ACCOUNT#ix_by_owner") ]
 
 (* a closed scan yields nothing more, whichever driver ran it: the nowait
    driver over several partitions, the blocking driver, and the blocking
@@ -281,6 +358,12 @@ let suite =
       blocked_insert_fewer_messages;
     Alcotest.test_case "index scan streams base rows" `Quick
       index_scan_streams_base_rows;
+    Alcotest.test_case "index scan: row and batch pops agree" `Quick
+      index_scan_pop_shapes_agree;
+    Alcotest.test_case "index scan of an unknown index" `Quick
+      unknown_index_is_name_error;
+    Alcotest.test_case "bad index spec creates no file" `Quick
+      bad_index_spec_creates_nothing;
     Alcotest.test_case "no row after close_scan" `Quick
       scan_yields_nothing_after_close;
   ]

@@ -476,60 +476,29 @@ let res_leak_trailing_close () =
     (res_leak1 ~path
        "let f t file = let sc = open_scan t file in close_scan t sc; 0")
 
-(* the streamed-cursor shape: [Fs.index_scan] hands back a (next, close)
-   pair through [let*] over result — an unrecognized opener, a tuple
-   pattern and a letop at once, so the handle analysis above never sees
-   it (the blind spot that let the executor's index path leak) *)
-let res_leak_stream () =
-  let path = "lib/fs/fixture.ml" in
-  check_rules "trailing stream close fires" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "never-closed stream fires" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  go 0");
-  check_rules "plain let binding is covered too" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "opener behind a wrapper thunk is still seen" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t stp file =\n\
-        \  let* next, close = stp.stp (fun () -> index_scan t file) in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "Fun.protect ~finally:close is clean" []
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  Fun.protect ~finally:close (fun () -> go 0)");
-  check_rules "close inside the finally thunk is clean" []
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  Fun.protect ~finally:(fun () -> close ()) (fun () -> go 0)")
+(* an index scan is an ordinary scan handle bound through [let*] over
+   result: the binding is judged exactly like [let sc = open_scan ...] *)
+let res_leak_index_scan () =
+  let cursor = ("lib/fs/cursor.ml", "let scan_next t sc = pop t sc.batch") in
+  let fixture body =
+    ( "lib/fs/fixture.ml",
+      "module Cursor = Nsql_fs.Cursor\n\
+       let f t file =\n\
+       \  let* sc = Fs.open_index_scan t file in\n\
+       \  let rec go n =\n\
+       \    match Cursor.scan_next t sc with None -> Ok n | Some _ -> go (n + \
+       1)\n\
+       \  in\n" ^ body )
+  in
+  let res_leak body =
+    res_leak_on [ cursor; fixture body ] "lib/fs/fixture.ml"
+  in
+  check_rules "unclosed index scan fires" [ "RES-LEAK" ] (res_leak "  go 0");
+  check_rules "fall-through close fires" [ "RES-LEAK" ]
+    (res_leak "  let* n = go 0 in\n  close_scan t sc;\n  Ok n");
+  check_rules "Fun.protect close is clean" []
+    (res_leak
+       "  Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)")
 
 (* --- the DP wait-queue pattern stays lintable ---------------------------- *)
 
@@ -838,7 +807,8 @@ let suite =
       res_leak_cross_function;
     Alcotest.test_case "RES-LEAK trailing close" `Quick
       res_leak_trailing_close;
-    Alcotest.test_case "RES-LEAK index-scan streams" `Quick res_leak_stream;
+    Alcotest.test_case "RES-LEAK index scan under let*" `Quick
+      res_leak_index_scan;
     Alcotest.test_case "wait-queue pattern lints clean" `Quick
       wait_queue_pattern;
     Alcotest.test_case "CKPT-COMPLETE fixtures" `Quick ckpt_complete;

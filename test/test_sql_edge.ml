@@ -141,6 +141,36 @@ let unrepresentable_literals () =
 (* A leaf split must cut where both halves fit. Nine short rows and two
    long ones overflow the leaf; its middle cut would leave the long rows
    and four short ones in a right half of 4,115 bytes. *)
+(* an index key is NOT NULL columns, each once; a bad column list is a
+   Bad_request naming the column, and no index file reaches a DP *)
+let bad_index_column_lists () =
+  let node, s = setup () in
+  ignore (N.exec_exn s "CREATE TABLE a (k INT PRIMARY KEY, g INT, v VARCHAR(20))");
+  ignore
+    (N.exec_exn s "CREATE TABLE b (k INT PRIMARY KEY, g INT NOT NULL, v INT)");
+  List.iter
+    (fun (sql, file) ->
+      (match N.exec s sql with
+      | Error (Errors.Bad_request msg) ->
+          Alcotest.(check bool) (sql ^ " names g: " ^ msg) true
+            (List.mem "g" (String.split_on_char ' ' msg))
+      | Error e -> Alcotest.failf "%s: %s" sql (Errors.to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted" sql);
+      Array.iter
+        (fun dp ->
+          Alcotest.(check bool) (file ^ " not created") true
+            (Nsql_dp.Dp.file_id dp file = None))
+        (N.dps node))
+    [
+      ("CREATE INDEX a_g ON a (g)", "a#ix_a_g");
+      ("CREATE INDEX b_gg ON b (g, g)", "b#ix_b_gg");
+    ];
+  (* the tables are untouched and a good index still builds *)
+  ignore (N.exec_exn s "INSERT INTO b VALUES (1, 7, 0), (2, 8, 0)");
+  ignore (N.exec_exn s "CREATE INDEX b_g ON b (g)");
+  Alcotest.(check (list int)) "read via the good index" [ 2 ]
+    (ints (rows_of (N.exec_exn s "SELECT k FROM b WHERE g = 8")))
+
 let split_of_skewed_rows () =
   let _node, s = setup () in
   ignore (N.exec_exn s "CREATE TABLE w (k INT PRIMARY KEY, v VARCHAR(2000))");
@@ -336,6 +366,8 @@ let suite =
     Alcotest.test_case "unrepresentable numeric literals" `Quick
       unrepresentable_literals;
     Alcotest.test_case "leaf split of skewed rows" `Quick split_of_skewed_rows;
+    Alcotest.test_case "CREATE INDEX on bad columns" `Quick
+      bad_index_column_lists;
     Alcotest.test_case "self join with aliases" `Quick self_join_with_aliases;
     Alcotest.test_case "GROUP BY expression" `Quick group_by_expression;
     Alcotest.test_case "HAVING filters groups" `Quick having_filters_groups;
